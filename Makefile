@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint lint-changed lint-conc hygiene bench bench-json bench-serve bench-store artifacts examples clean
+.PHONY: install test lint lint-changed lint-conc hygiene bench bench-json bench-serve bench-store perfbench perfbench-selftest artifacts examples clean
 
 install:
 	pip install -e . && pip install pytest pytest-benchmark hypothesis
@@ -53,6 +53,17 @@ bench-serve:
 # high-water marks and latency; writes BENCH_PR9.json at the repo root.
 bench-store:
 	PYTHONPATH=src $(PYTHON) benchmarks/store_ladder.py --out BENCH_PR9.json
+
+# The repo's end-to-end benchmark (declared by BENCHMARK.json): both
+# workloads, timed; each prints its metrics and a JSON verdict and exits
+# non-zero on a wrong answer.  See perfbench/README.md.
+perfbench:
+	$(PYTHON) perfbench/run.py --workload serve-hot --seed 1 --seconds 22
+	$(PYTHON) perfbench/run.py --workload serve-cold --seed 1 --seconds 22
+
+# The benchmark's own machinery; seconds, no `repro all` run needed.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 artifacts:
 	$(PYTHON) -m repro all artifacts/

@@ -59,7 +59,7 @@ import json, sys
 from pathlib import Path
 from repro.perf import ArtifactCache, configure_cache
 from repro.serve import (
-    ServeApp, ServeSettings, build_index, load_manifest, make_server,
+    FastHTTPServer, ServeApp, ServeSettings, build_index, load_manifest,
 )
 run, cache, backend = sys.argv[1:4]
 configure_cache(ArtifactCache(directory=Path(cache)))
@@ -67,7 +67,7 @@ app = ServeApp(
     build_index(load_manifest(Path(run)), backend=backend),
     ServeSettings(port=0, response_cache_entries=0),
 )
-server = make_server(app)
+server = FastHTTPServer(app)
 print(json.dumps({"port": server.server_address[1]}), flush=True)
 server.serve_forever()
 """

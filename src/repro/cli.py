@@ -452,16 +452,7 @@ def _run_id_of(path: Path) -> str:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.serve import (
-        ManifestWatcher,
-        RunRouter,
-        ServeApp,
-        ShardPlan,
-        ShardedServer,
-        build_index,
-        load_manifest,
-        make_server,
-    )
+    from repro.serve import ShardPlan, ShardedServer, build_index
 
     status = _install_fault_plan(args.inject_faults)
     if status:
@@ -480,19 +471,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     extra_runs = dict(zip(run_ids[1:], extra_paths))
     try:
         backend = _resolve_backend(args)
-        index = _build_serve_index(args, manifest_path=primary_path)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"no manifest: {exc}", file=sys.stderr)
-        return 2
-    # Reloads (and extra-run builds) rebuild into the same tier.
-    builder = lambda manifest: build_index(manifest, backend=backend)  # noqa: E731
-
-    if args.workers > 1:
-        sharded = ShardedServer(
-            index=index,
+        server = ShardedServer(
+            index=_build_serve_index(args, manifest_path=primary_path),
             manifest_path=primary_path,
             settings=_serve_settings(args, args.port),
             plan=ShardPlan(
@@ -500,61 +480,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 strategy=args.strategy,
                 reload_poll_seconds=args.reload_poll,
             ),
-            builder=builder,
+            # Reloads (and extra-run builds) rebuild into the same tier.
+            builder=lambda manifest: build_index(manifest, backend=backend),
             extra_runs=extra_runs,
             default_run=run_ids[0],
         )
-        host, port = sharded.start()
-        print(
-            f"serving on http://{host}:{port} with {args.workers} workers "
-            f"({sharded.strategy}) (Ctrl-C to stop)"
-        )
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            sharded.stop()
-        return 0
-
-    app = ServeApp(index, _serve_settings(args, args.port))
-    watchers = []
-    if args.reload_poll > 0:
-        watchers.append(
-            ManifestWatcher(
-                primary_path, app, args.reload_poll, builder=builder
-            ).start()
-        )
-    handler = app
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"no manifest: {exc}", file=sys.stderr)
+        return 2
+    host, port = server.start()
     if extra_runs:
-        apps = {run_ids[0]: app}
-        for run_id, path in extra_runs.items():
-            run_app = ServeApp(
-                builder(load_manifest(path)), _serve_settings(args, args.port)
-            )
-            apps[run_id] = run_app
-            if args.reload_poll > 0:
-                watchers.append(
-                    ManifestWatcher(
-                        path, run_app, args.reload_poll, builder=builder
-                    ).start()
-                )
-        handler = RunRouter(apps, run_ids[0])
-        print(f"multi-run registry: {sorted(apps)} (default: {run_ids[0]})")
-    server = make_server(handler)
-    host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port} (Ctrl-C to stop)")
+        print(f"multi-run registry: {sorted(run_ids)} (default: {run_ids[0]})")
+    shards = (
+        ""
+        if args.workers == 1
+        else f" with {args.workers} workers ({server.strategy})"
+    )
+    print(f"serving on http://{host}:{port}{shards} (Ctrl-C to stop)")
     try:
-        server.serve_forever()
+        while True:
+            time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
-        for watcher in watchers:
-            watcher.stop()
-        server.shutdown()
-        server.server_close()
-        handler.close()
+        server.stop()
     return 0
 
 
@@ -572,20 +524,18 @@ def _parse_sweep(text: str | None) -> list[float] | None:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    import http.client
     import json
-    import threading
 
-    from repro.perf import peak_rss_mb, rss_high_water_mb
+    from repro.perf import peak_rss_mb
     from repro.serve import (
         LoadPlan,
         OpenLoadPlan,
-        ServeApp,
         ShardPlan,
         ShardedServer,
         build_open_schedule,
         build_streams,
         find_knee,
-        make_server,
         run_load,
         run_open_load,
         stream_digest,
@@ -634,28 +584,16 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         return 0
 
     # Self-hosted target: ephemeral port, torn down after the run.
-    # Open mode needs the pipelining keep-alive shell, so anything but
-    # the plain closed-loop single process goes through the sharded
-    # supervisor (which runs FastHTTPServer workers even at workers=1).
-    app = None
-    sharded = None
-    settings = _serve_settings(args, 0)
-    if open_mode or args.workers > 1:
-        sharded = ShardedServer(
-            index=index,
-            settings=settings,
-            plan=ShardPlan(workers=args.workers, strategy=args.strategy),
-        )
-        host, port = sharded.start()
-    else:
-        app = ServeApp(index, settings)
-        server = make_server(app)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    server = ShardedServer(
+        index=index,
+        settings=_serve_settings(args, 0),
+        plan=ShardPlan(workers=args.workers, strategy=args.strategy),
+    )
+    host, port = server.start()
 
     sweep = None
     warmup = None
+    metrics = None
     try:
         if open_mode:
             if args.warmup == "on":
@@ -715,23 +653,20 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 )
         else:
             result = run_load(host, port, streams, keep_alive=args.keep_alive == "on")
+        if args.workers == 1:
+            # With N > 1 workers, /metrics would answer for one shard.
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                connection.request("GET", "/metrics")
+                metrics = json.loads(connection.getresponse().read())
+            finally:
+                connection.close()
     finally:
         # Peak RSS must be read while the serving processes are alive:
         # /proc/<pid>/status vanishes with the worker.
-        if sharded is not None:
-            rss_mb = peak_rss_mb(sharded.worker_pids())
-            sharded.stop()
-        else:
-            rss_mb = rss_high_water_mb()
-            server.shutdown()
-            server.server_close()
-            thread.join()
+        rss_mb = peak_rss_mb(server.worker_pids())
+        server.stop()
 
-    metrics = None
-    if app is not None:
-        __, metrics_body = app.handle("/metrics")
-        metrics = json.loads(metrics_body)
-        app.close()
     target = (
         f"self-hosted {host}:{port} "
         f"({args.workers} worker(s), {args.mode} loop)"

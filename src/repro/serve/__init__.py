@@ -12,19 +12,18 @@ cooperating pieces:
   ``build_index(..., backend=)`` also fronts the out-of-core tiers in
   :mod:`repro.store` (``mmap`` CSR blobs, compiled SQLite) — byte-
   identical responses, bounded residency (see ``docs/storage.md``).
-- :mod:`repro.serve.server` — the JSON request core (``/v1/entity``,
-  ``/v1/site`` with pagination cursors, ``/v1/coverage``,
-  ``/v1/demand``, ``/v1/setcover``, ``/healthz``, ``/metrics``) with
-  per-request deadlines from :class:`repro.resilience.RetryPolicy`,
-  fault-injectable handlers (``--inject-faults``), and epoch-swappable
-  indices (hot reload), plus the portable ``ThreadingHTTPServer``
-  shell.
-- :mod:`repro.serve.fasthttp` — the pipelining keep-alive HTTP/1.1
-  shell sharded workers run (batched writes, buffer-scan parsing).
-- :mod:`repro.serve.sharding` — the multi-process supervisor: N forked
-  workers behind one port via ``SO_REUSEPORT`` (fallback: an
-  fd-passing round-robin router), each inheriting the index built once
-  in the parent.
+- :mod:`repro.serve.server` — the transport-free JSON request core
+  (``/v1/entity``, ``/v1/site`` with pagination cursors,
+  ``/v1/coverage``, ``/v1/demand``, ``/v1/setcover``, ``/healthz``,
+  ``/metrics``) with per-request deadlines from
+  :class:`repro.resilience.RetryPolicy`, fault-injectable handlers
+  (``--inject-faults``), and epoch-swappable indices (hot reload).
+- :mod:`repro.serve.fasthttp` — the one HTTP shell: pipelining
+  keep-alive HTTP/1.1 (batched writes, buffer-scan parsing).
+- :mod:`repro.serve.sharding` — the host every ``repro serve`` runs
+  under: one worker in-process, or N forked workers behind one port
+  via ``SO_REUSEPORT`` (fallback: an fd-passing round-robin router),
+  each inheriting the index built once in the parent.
 - :mod:`repro.serve.reload` — manifest watching and atomic hot index
   swaps (mtime gate, config-fingerprint gate, epoch replacement).
 - :mod:`repro.serve.rcache` — an LRU response cache keyed on
@@ -50,7 +49,6 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.fasthttp import FastHTTPServer
 from repro.serve.indices import (
     PairIndex,
-    ServeIndex,
     build_index,
     load_manifest,
     manifest_identity,
@@ -78,7 +76,6 @@ from repro.serve.server import (
     RunRouter,
     ServeApp,
     ServeSettings,
-    make_server,
 )
 from repro.serve.sharding import (
     ShardPlan,
@@ -100,7 +97,6 @@ __all__ = [
     "ResponseCache",
     "RunRouter",
     "ServeApp",
-    "ServeIndex",
     "ServeMetrics",
     "ServeSettings",
     "ShardPlan",
@@ -111,7 +107,6 @@ __all__ = [
     "build_streams",
     "find_knee",
     "load_manifest",
-    "make_server",
     "manifest_identity",
     "open_rate_summary",
     "resolve_strategy",

@@ -1,10 +1,10 @@
-"""A lean HTTP/1.1 shell tuned for the serve tier's hot path.
+"""The serve tier's one HTTP/1.1 shell, tuned for the hot path.
 
-``ThreadingHTTPServer`` + ``BaseHTTPRequestHandler`` spend most of a
-cached request's budget inside generic request parsing (``readline``
-loops, header objects, date formatting).  At the throughput the sharded
-serve tier targets, that shell *is* the bottleneck — so workers run
-this one instead: a thread-per-connection loop that
+Every ``repro serve`` worker answers through this shell: the one
+in-process worker and each forked shard alike.  Generic stdlib request
+parsing (``readline`` loops, header objects, date formatting) would
+spend most of a cached request's budget, so this is a lean
+thread-per-connection loop that
 
 - reads into one per-connection buffer and scans for complete request
   heads (requests are GET-only, so a head is the whole request);
@@ -12,8 +12,8 @@ this one instead: a thread-per-connection loop that
   produced from the same buffered chunk into a single ``sendall`` —
   the write syscall amortizes across the pipeline depth;
 - answers through :meth:`repro.serve.server.ServeApp.handle`, so
-  routing, caching, deadlines, metrics, and fault injection are the
-  same code path the portable shell uses, byte for byte;
+  routing, caching, deadlines, metrics, and fault injection live in
+  the transport-free app, not here;
 - honors keep-alive semantics: HTTP/1.1 persists unless the request
   says ``Connection: close``, HTTP/1.0 closes unless it says
   ``keep-alive``, and non-GET methods get a 501 and a close (a body we
@@ -22,8 +22,9 @@ this one instead: a thread-per-connection loop that
 The worker id travels on the ``X-Repro-Worker`` response header so the
 load generator can attribute every response to the shard that produced
 it.  The listening socket is injectable, which is how
-:mod:`repro.serve.sharding` binds ``SO_REUSEPORT`` sockets or feeds
-router-dispatched connections via :meth:`process_connection`.
+:mod:`repro.serve.sharding` hands it its listeners (``SO_REUSEPORT``
+ones for forked shards) or feeds router-dispatched connections via
+:meth:`process_connection`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from __future__ import annotations
 import socket
 import threading
 
-from repro.serve.server import ServeApp
+from repro.serve.server import RunRouter, ServeApp
 
-__all__ = ["FastHTTPServer"]
+__all__ = ["FastHTTPServer", "listen"]
 
 _RECV_SIZE = 1 << 16
 #: A request head larger than this without a terminator is hostile.
@@ -51,12 +52,25 @@ _REASONS = {
 _TERMINATOR = b"\r\n\r\n"
 
 
+def listen(
+    host: str, port: int, backlog: int = 512, reuseport: bool = False
+) -> socket.socket:
+    """A TCP listener on ``host:port`` (``SO_REUSEPORT`` to share it)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    if reuseport:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+    sock.bind((host, port))
+    sock.listen(backlog)
+    return sock
+
+
 class FastHTTPServer:
     """Thread-per-connection pipelining HTTP shell over a `ServeApp`."""
 
     def __init__(
         self,
-        app: ServeApp,
+        app: ServeApp | RunRouter,
         sock: socket.socket | None = None,
         backlog: int = 512,
         bind: bool = True,
@@ -66,18 +80,15 @@ class FastHTTPServer:
         Args:
             app: The request handler (owns routing/caching/metrics).
             sock: An already-bound, already-listening socket to accept
-                on (the sharding layer passes ``SO_REUSEPORT`` sockets
-                here).  ``None`` binds ``app.settings.host:port``.
+                on (the sharding layer passes its listeners here).
+                ``None`` binds ``app.settings.host:port``.
             backlog: Listen backlog when this class does the binding.
             bind: ``False`` creates a socketless server fed exclusively
                 through :meth:`process_connection` (router workers).
         """
         self.app = app
         if sock is None and bind:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((app.settings.host, app.settings.port))
-            sock.listen(backlog)
+            sock = listen(app.settings.host, app.settings.port, backlog)
         self.socket = sock
         self.server_address = (
             sock.getsockname() if sock is not None else (app.settings.host, 0)

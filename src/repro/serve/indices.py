@@ -58,15 +58,10 @@ __all__ = [
     "DemandTable",
     "Manifest",
     "PairIndex",
-    "ServeIndex",
     "build_index",
     "load_manifest",
     "manifest_identity",
 ]
-
-#: All tiers expose the contract of :class:`repro.store.QueryIndex`;
-#: the historical name stays for the HTTP layer and its tests.
-ServeIndex = QueryIndex
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,7 @@ def _build_demand(site: str, config: ExperimentConfig) -> DemandTable:
     )
 
 
-def build_index(manifest: Manifest, backend: str = "auto") -> ServeIndex:
+def build_index(manifest: Manifest, backend: str = "auto") -> QueryIndex:
     """Build the serving index for a manifest's run.
 
     ``backend`` selects the storage tier: ``"ram"`` (the classic
@@ -252,7 +247,7 @@ def build_index(manifest: Manifest, backend: str = "auto") -> ServeIndex:
         for site in manifest.traffic_sites
     }
     identity = manifest_identity(manifest)
-    return ServeIndex(
+    return QueryIndex(
         config=manifest.config,
         pairs=pairs,
         default_attribute=default_attribute,

@@ -1,21 +1,19 @@
 """The HTTP query service: routing, deadlines, caching, fault hooks.
 
-Two layers, split for testability:
-
-- :class:`ServeApp` — the pure request handler.  ``handle(path)`` maps
-  a request path (with query string) to ``(status, body_bytes)``.  All
-  heavy queries run on a worker pool so the caller can enforce the
-  per-request deadline (``RetryPolicy.timeout_seconds`` semantics from
-  :mod:`repro.resilience`) with ``future.result(timeout=...)``; a
-  deadline miss returns 504 without wedging the accept loop.  Tests
-  drive this object directly, no sockets needed.
-- :class:`_RequestHandler`/:func:`make_server` — the thin
-  ``ThreadingHTTPServer`` shell around it.  The sharded multi-process
-  shell lives in :mod:`repro.serve.sharding` and drives the same app
-  through :mod:`repro.serve.fasthttp`.
+:class:`ServeApp` is the transport-free request handler.
+``handle(path)`` maps a request path (with query string) to
+``(status, body_bytes)``.  All heavy queries run on a worker pool so
+the caller can enforce the per-request deadline
+(``RetryPolicy.timeout_seconds`` semantics from :mod:`repro.resilience`)
+with ``future.result(timeout=...)``; a deadline miss returns 504
+without wedging the connection.  Tests drive this object directly, no
+sockets needed.  The one HTTP shell around it is
+:class:`~repro.serve.fasthttp.FastHTTPServer`, which
+:class:`~repro.serve.sharding.ShardedServer` runs for every worker
+count.
 
 Determinism contract: handlers are pure functions of the immutable
-:class:`~repro.serve.indices.ServeIndex`, and bodies are rendered with
+:class:`~repro.store.backend.QueryIndex`, and bodies are rendered with
 sorted keys, so a response is byte-identical whether it came from the
 LRU cache, the micro-batcher's shared future, or a cold computation.
 
@@ -45,25 +43,21 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.perf import fingerprint
 from repro.resilience import InjectedTaskError, RetryPolicy, active_plan
 from repro.serve.batcher import MicroBatcher
-from repro.serve.indices import PairIndex, ServeIndex
 from repro.serve.metrics import ServeMetrics
 from repro.serve.rcache import ResponseCache
+from repro.store.backend import PairBackend, QueryIndex
 
 __all__ = [
     "RunRouter",
     "ServeApp",
     "ServeSettings",
     "WORKER_HEADER",
-    "make_server",
 ]
-
-_JSON = "application/json"
 
 #: Response header naming the worker process that answered a request —
 #: the load generator aggregates it into per-worker attribution.
@@ -160,7 +154,7 @@ class _Epoch:
 
     __slots__ = ("index", "rcache", "batcher", "path_keys", "path_keys_cap")
 
-    def __init__(self, index: ServeIndex, settings: ServeSettings) -> None:
+    def __init__(self, index: QueryIndex, settings: ServeSettings) -> None:
         """Build the caches one index generation owns."""
         self.index = index
         self.rcache: ResponseCache | None = (
@@ -174,11 +168,11 @@ class _Epoch:
 
 
 class ServeApp:
-    """Socket-free request handler over an immutable :class:`ServeIndex`."""
+    """Socket-free request handler over an immutable :class:`QueryIndex`."""
 
     def __init__(
         self,
-        index: ServeIndex,
+        index: QueryIndex,
         settings: ServeSettings | None = None,
         worker_id: int = 0,
     ) -> None:
@@ -199,7 +193,7 @@ class ServeApp:
     # Back-compat accessors: tests and callers address the *current*
     # epoch's structures through the app.
     @property
-    def index(self) -> ServeIndex:
+    def index(self) -> QueryIndex:
         """The current index generation."""
         return self._epoch.index
 
@@ -213,7 +207,7 @@ class ServeApp:
         """The current epoch's micro-batcher."""
         return self._epoch.batcher
 
-    def swap_index(self, index: ServeIndex) -> None:
+    def swap_index(self, index: QueryIndex) -> None:
         """Atomically point new requests at ``index``.
 
         In-flight requests keep the epoch they captured — no lock, no
@@ -384,7 +378,7 @@ class ServeApp:
         return 200, _render(payload)
 
     @staticmethod
-    def _pair(index: ServeIndex, params: dict[str, str]) -> PairIndex:
+    def _pair(index: QueryIndex, params: dict[str, str]) -> PairBackend:
         """Resolve the (domain, attribute) pair named by request params."""
         domain = params["domain"]
         pair = index.resolve_pair(domain, params.get("attribute"))
@@ -410,7 +404,7 @@ class ServeApp:
             raise _HTTPError(400, f"parameter {name!r} must be an integer") from None
 
     def _handle_entity(
-        self, index: ServeIndex, params: dict[str, str]
+        self, index: QueryIndex, params: dict[str, str]
     ) -> dict[str, object]:
         """GET /v1/entity/{domain}/{id}/sites — where does an entity live?"""
         pair = self._pair(index, params)
@@ -430,12 +424,12 @@ class ServeApp:
         }
 
     def _site_matches(
-        self, index: ServeIndex, host: str, params: dict[str, str]
-    ) -> list[tuple[PairIndex, int]]:
+        self, index: QueryIndex, host: str, params: dict[str, str]
+    ) -> list[tuple[PairBackend, int]]:
         """(pair, site) matches for a host, in stable sorted-pair order."""
         domain = params.get("domain")
         attribute = params.get("attribute")
-        matches: list[tuple[PairIndex, int]] = []
+        matches: list[tuple[PairBackend, int]] = []
         for key in sorted(index.pairs):
             pair = index.pairs[key]
             if domain is not None and pair.domain != domain:
@@ -451,7 +445,7 @@ class ServeApp:
         return matches
 
     def _handle_site(
-        self, index: ServeIndex, params: dict[str, str]
+        self, index: QueryIndex, params: dict[str, str]
     ) -> dict[str, object]:
         """GET /v1/site/{host}/entities — what does a site mention?
 
@@ -539,7 +533,7 @@ class ServeApp:
         }
 
     def _handle_coverage(
-        self, index: ServeIndex, params: dict[str, str]
+        self, index: QueryIndex, params: dict[str, str]
     ) -> dict[str, object]:
         """GET /v1/coverage/{domain}?k=&t= — dense-table k-coverage."""
         pair = self._pair(index, params)
@@ -558,7 +552,7 @@ class ServeApp:
         }
 
     def _handle_demand(
-        self, index: ServeIndex, params: dict[str, str]
+        self, index: QueryIndex, params: dict[str, str]
     ) -> dict[str, object]:
         """GET /v1/demand/{site}?n_reviews=&source= — Figure-7 lookup."""
         site = params["site"]
@@ -580,7 +574,7 @@ class ServeApp:
         return {"site": site, "source": source, "n_reviews": n_reviews, **result}
 
     def _handle_setcover(
-        self, index: ServeIndex, params: dict[str, str]
+        self, index: QueryIndex, params: dict[str, str]
     ) -> dict[str, object]:
         """GET /v1/setcover/{domain}?budget= — bounded greedy cover."""
         pair = self._pair(index, params)
@@ -621,9 +615,9 @@ class RunRouter:
     account independently.  Legacy unprefixed routes go to the default
     run unchanged — single-run clients never notice the router — and
     ``/v1/runs`` lists the registry.  The router quacks like a
-    :class:`ServeApp` where the HTTP shells care (``handle`` /
-    ``settings`` / ``worker_id``), so :func:`make_server` and the
-    sharded workers drive it unmodified.
+    :class:`ServeApp` where the HTTP shell cares (``handle`` /
+    ``settings`` / ``worker_id``), so every worker drives it
+    unmodified.
     """
 
     def __init__(self, apps: dict[str, ServeApp], default_run: str) -> None:
@@ -634,12 +628,12 @@ class RunRouter:
 
     @property
     def settings(self) -> ServeSettings:
-        """The default run's settings (shells bind with these)."""
+        """The default run's settings (the shell binds with these)."""
         return self.apps[self.default_run].settings
 
     @property
     def worker_id(self) -> int:
-        """The default run's worker id (shells stamp it on responses)."""
+        """The default run's worker id (the shell stamps it on responses)."""
         return self.apps[self.default_run].worker_id
 
     def handle(self, target: str) -> tuple[int, bytes]:
@@ -691,43 +685,3 @@ class RunRouter:
         """Shut down every run's worker pool (idempotent)."""
         for app in self.apps.values():
             app.close()
-
-
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Minimal GET-only shell delegating to the app (quiet logging)."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/1"
-    # Without TCP_NODELAY, Nagle + delayed ACK quantizes every loopback
-    # response at ~40ms and the latency benchmark measures the kernel,
-    # not the server.
-    disable_nagle_algorithm = True
-    app: "ServeApp | RunRouter"  # attached by make_server
-
-    def do_GET(self) -> None:
-        """Serve one request through :meth:`ServeApp.handle`."""
-        status, body = self.app.handle(self.path)
-        self.send_response(status)
-        self.send_header("Content-Type", _JSON)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header(WORKER_HEADER, str(self.app.worker_id))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: object) -> None:
-        """Suppress stderr access logs (metrics cover observability)."""
-
-
-def make_server(app: "ServeApp | RunRouter") -> ThreadingHTTPServer:
-    """Bind a :class:`ThreadingHTTPServer` serving ``app``.
-
-    The handler class is specialized per call so multiple servers (and
-    tests) can run distinct apps in one process.  Caller owns the server
-    lifecycle: ``serve_forever()`` / ``shutdown()`` / ``server_close()``.
-    """
-    handler = type("BoundRequestHandler", (_RequestHandler,), {"app": app})
-    server = ThreadingHTTPServer(
-        (app.settings.host, app.settings.port), handler
-    )
-    server.daemon_threads = True
-    return server

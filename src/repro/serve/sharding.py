@@ -1,37 +1,42 @@
-"""Multi-process sharding for the serve tier (``repro serve --workers``).
+"""The serve tier's one host: ``repro serve`` with any ``--workers``.
 
 The paper's query workloads are read-only over immutable run artifacts
 — an embarrassingly shardable serving problem that a single GIL-bound
-process cannot scale.  :class:`ShardedServer` is the supervisor: it
-builds the index **once** in the parent, forks ``N`` worker processes
-that inherit it copy-on-write, and puts every worker behind one
-``host:port`` using whichever kernel facility is available:
+process cannot scale.  :class:`ShardedServer` builds the index **once**
+and runs every worker the same way: a per-worker
+:class:`~repro.serve.server.ServeApp` (own caches, own metrics, shared
+immutable index pages), optionally a
+:class:`~repro.serve.reload.ManifestWatcher` for hot index reload, and
+the pipelined :class:`~repro.serve.fasthttp.FastHTTPServer` shell.
+Whether to fork follows from the worker count:
 
-- **reuseport** (preferred): each worker binds the same port with
-  ``SO_REUSEPORT`` and accepts for itself; the kernel load-balances new
-  connections across the listening shards with no userspace hop.  The
-  parent holds a bound-but-not-listening ``SO_REUSEPORT`` socket purely
-  to reserve the port (it never receives connections — only listeners
-  do), which makes ephemeral ``--port 0`` work across processes.
-- **router** (fallback, and the deterministic mode): the parent owns
-  the only listening socket and passes each accepted connection's file
-  descriptor to a worker over a Unix socketpair (``SCM_RIGHTS`` via
-  :func:`socket.send_fds`), strictly round-robin in accept order.
-  Workers serve the connection through
-  :meth:`~repro.serve.fasthttp.FastHTTPServer.process_connection`.
-  Round-robin dispatch is what makes per-worker request attribution
-  reproducible — the shard-determinism tests run in this mode.
+- **one worker** runs in the calling process on a listener thread — no
+  fork, so it works on platforms without ``fork`` and leaves the
+  caller's garbage collector alone;
+- **N > 1 workers** are forked children that inherit the index
+  copy-on-write and sit behind one ``host:port`` using whichever
+  kernel facility is available:
 
-Workers run the pipelined :class:`~repro.serve.fasthttp.FastHTTPServer`
-shell over a per-worker :class:`~repro.serve.server.ServeApp` (own
-caches, own metrics, shared immutable index pages) and optionally a
-:class:`~repro.serve.reload.ManifestWatcher` for hot index reload.
+  - **reuseport** (preferred): each worker binds the same port with
+    ``SO_REUSEPORT`` and accepts for itself; the kernel load-balances
+    new connections across the listening shards with no userspace
+    hop.  The parent holds a bound-but-not-listening ``SO_REUSEPORT``
+    socket purely to reserve the port (it never receives connections
+    — only listeners do), which makes ephemeral ``--port 0`` work
+    across processes.
+  - **router** (fallback, and the deterministic mode): the parent owns
+    the only listening socket and passes each accepted connection's
+    file descriptor to a worker over a Unix socketpair
+    (``SCM_RIGHTS`` via :func:`socket.send_fds`), strictly round-robin
+    in accept order.  Workers serve the connection through
+    :meth:`~repro.serve.fasthttp.FastHTTPServer.process_connection`.
+    Round-robin dispatch is what makes per-worker request attribution
+    reproducible — the shard-determinism tests run in this mode.
 
-Supervision is fork-based: worker entry points are bound methods, which
-only works because ``fork`` inherits state instead of pickling it.  On
-platforms without ``fork`` the constructor raises — the portable
-single-process shell (:func:`repro.serve.server.make_server`) still
-works everywhere.
+Forked supervision needs ``fork``: worker entry points are bound
+methods, which only works because ``fork`` inherits state instead of
+pickling it.  :meth:`ShardedServer.start` raises on platforms without
+it when more than one worker is asked for.
 """
 
 from __future__ import annotations
@@ -39,15 +44,17 @@ from __future__ import annotations
 import errno
 import gc
 import multiprocessing
+import os
 import socket
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.serve.fasthttp import FastHTTPServer
-from repro.serve.indices import ServeIndex, build_index, load_manifest
+from repro.serve.fasthttp import FastHTTPServer, listen
+from repro.serve.indices import build_index, load_manifest
 from repro.serve.reload import ManifestWatcher
 from repro.serve.server import RunRouter, ServeApp, ServeSettings
+from repro.store.backend import QueryIndex
 
 __all__ = [
     "ShardPlan",
@@ -87,14 +94,31 @@ def resolve_strategy(strategy: str) -> str:
     return strategy
 
 
+def _freeze_gc() -> None:
+    """Take a forked worker's heap out of the cyclic collector.
+
+    The worker's heap is an immutable index plus str->bytes LRU caches:
+    reference counting reclaims everything, and cyclic collections over
+    the (large, long-lived) cache dicts cost tens of milliseconds each —
+    a visible p99 stall.  Freeze the inherited heap out of the collector
+    and turn the cycle collector off, as read-mostly servers
+    conventionally do.  An in-process worker shares the caller's
+    collector and does not call this.
+    """
+    gc.freeze()
+    gc.disable()
+
+
 @dataclass(frozen=True)
 class ShardPlan:
     """Knobs of the sharded deployment.
 
     Attributes:
-        workers: Worker processes to fork (>= 1).
-        strategy: ``auto`` (reuseport when the kernel has it, else
-            router), ``reuseport``, or ``router``.
+        workers: Workers to run (>= 1); one runs in-process, more are
+            forked.
+        strategy: How forked workers share the port: ``auto``
+            (reuseport when the kernel has it, else router),
+            ``reuseport``, or ``router``.
         reload_poll_seconds: Manifest poll interval for hot index
             reload; 0 disables the watcher.
         backlog: Listen backlog (per listener).
@@ -119,11 +143,11 @@ class ShardPlan:
 
 
 class ShardedServer:
-    """Supervisor for ``N`` forked serve workers behind one port."""
+    """Host ``N`` serve workers behind one port (in-process when N is 1)."""
 
     def __init__(
         self,
-        index: ServeIndex | None = None,
+        index: QueryIndex | None = None,
         manifest_path: str | Path | None = None,
         settings: ServeSettings | None = None,
         plan: ShardPlan | None = None,
@@ -131,11 +155,11 @@ class ShardedServer:
         extra_runs: dict[str, str | Path] | None = None,
         default_run: str = "default",
     ) -> None:
-        """Prepare (but do not start) a sharded deployment.
+        """Prepare (but do not start) a deployment.
 
         Args:
-            index: Pre-built serving index; workers inherit it through
-                fork.  ``None`` builds it here from ``manifest_path``.
+            index: Pre-built serving index; forked workers inherit it.
+                ``None`` builds it here from ``manifest_path``.
             manifest_path: The run directory or ``manifest.json``;
                 required when ``index`` is None or hot reload is on.
             settings: Per-worker :class:`ServeSettings` (host/port/...).
@@ -147,8 +171,8 @@ class ShardedServer:
             extra_runs: Additional runs to serve behind a
                 :class:`~repro.serve.server.RunRouter` — a
                 ``run_id -> manifest path`` map.  Their indices are
-                built once here (via ``builder``) and inherited by
-                every worker through fork.
+                built once here (via ``builder``) and shared by every
+                worker.
             default_run: Registry name of the primary run (the one
                 legacy unprefixed routes hit) when ``extra_runs`` is
                 non-empty.
@@ -157,13 +181,7 @@ class ShardedServer:
             ValueError: Neither an index nor a manifest path was given,
                 hot reload was requested without a manifest path, or an
                 extra run reuses ``default_run``'s name.
-            RuntimeError: The platform has no ``fork`` start method.
         """
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "sharded serving requires the fork start method; use "
-                "repro.serve.make_server on this platform"
-            )
         self.settings = settings or ServeSettings()
         self.plan = plan or ShardPlan()
         self.strategy = resolve_strategy(self.plan.strategy)
@@ -187,12 +205,14 @@ class ShardedServer:
             )
         # Extra-run indices are built once, pre-fork, for the same
         # copy-on-write sharing the primary index gets.
-        self.extra_indices: dict[str, ServeIndex] = {
+        self.extra_indices: dict[str, QueryIndex] = {
             run_id: self.builder(load_manifest(path))
             for run_id, path in sorted(self.extra_runs.items())
         }
         self.index = index
-        self._ctx = multiprocessing.get_context("fork")
+        self._server: FastHTTPServer | None = None  # the in-process worker
+        self._server_thread: threading.Thread | None = None
+        self._watchers: list[ManifestWatcher] = []
         self._processes: list = []
         self._channels: list[socket.socket] = []
         self._reserve: socket.socket | None = None
@@ -204,7 +224,12 @@ class ShardedServer:
     # -- parent side ----------------------------------------------------------
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live worker processes (for RSS attribution)."""
+        """PIDs of the live workers (for RSS attribution).
+
+        An in-process worker is this process.
+        """
+        if self._server is not None:
+            return [os.getpid()]
         return [
             process.pid
             for process in self._processes
@@ -212,8 +237,32 @@ class ShardedServer:
         ]
 
     def start(self) -> tuple[str, int]:
-        """Bind, fork the workers, wait until all accept; returns (host, port)."""
+        """Bind, start the workers, wait until all accept; returns (host, port).
+
+        Raises:
+            RuntimeError: More than one worker on a platform without
+                the ``fork`` start method, or a forked worker that
+                never became ready.
+        """
         host, port = self.settings.host, self.settings.port
+        if self.plan.workers == 1:
+            sock = listen(host, port, self.plan.backlog)
+            app, self._watchers = self._worker_app(0)
+            self._server = FastHTTPServer(app, sock)
+            self._server_thread = threading.Thread(
+                target=self._server.serve_forever,
+                daemon=True,
+                name="serve-accept",
+            )
+            self._server_thread.start()
+            self.server_address = sock.getsockname()[:2]
+            return self.server_address
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError(
+                f"{self.plan.workers} workers need the fork start method, "
+                "which this platform lacks; serve with one worker"
+            )
+        ctx = multiprocessing.get_context("fork")
         if self.strategy == "reuseport":
             # Reserve the port without listening: bound non-listening
             # sockets never receive connections, but they pin an
@@ -224,19 +273,16 @@ class ShardedServer:
             self._reserve.bind((host, port))
             host, port = self._reserve.getsockname()[:2]
         else:
-            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listener.bind((host, port))
-            self._listener.listen(self.plan.backlog)
+            self._listener = listen(host, port, self.plan.backlog)
             host, port = self._listener.getsockname()[:2]
         self.server_address = (host, port)
 
         ready_events = []
         for worker_id in range(self.plan.workers):
-            ready = self._ctx.Event()
+            ready = ctx.Event()
             ready_events.append(ready)
             if self.strategy == "reuseport":
-                process = self._ctx.Process(
+                process = ctx.Process(
                     target=self._worker_reuseport,
                     args=(worker_id, host, port, ready),
                     daemon=True,
@@ -247,7 +293,7 @@ class ShardedServer:
                     socket.AF_UNIX, socket.SOCK_STREAM
                 )
                 self._channels.append(parent_end)
-                process = self._ctx.Process(
+                process = ctx.Process(
                     target=self._worker_router,
                     args=(worker_id, child_end, ready),
                     daemon=True,
@@ -293,6 +339,14 @@ class ShardedServer:
     def stop(self) -> None:
         """Tear the deployment down (idempotent)."""
         self._stopping.set()
+        if self._server is not None:
+            self._server.shutdown()
+            self._server_thread.join(timeout=5.0)
+            for watcher in self._watchers:
+                watcher.stop()
+            self._server.app.close()
+            self._server = self._server_thread = None
+            self._watchers = []
         if self._listener is not None and self.server_address is not None:
             # Wake the router's accept() so it observes the stop flag;
             # close() alone does not interrupt a parked accept.
@@ -325,12 +379,12 @@ class ShardedServer:
             process.join(timeout=10.0)
         self._processes = []
 
-    # -- worker side (runs after fork) ----------------------------------------
+    # -- worker side ----------------------------------------------------------
 
     def _worker_app(
         self, worker_id: int
     ) -> tuple["ServeApp | RunRouter", list[ManifestWatcher]]:
-        """Build the per-worker app(s) over the fork-inherited indices.
+        """Build one worker's app(s) over the shared indices.
 
         One :class:`ServeApp` per registered run (own caches and
         metrics over the shared immutable index pages); a
@@ -364,32 +418,21 @@ class ShardedServer:
                         ).start()
                     )
             handler = RunRouter(apps, self.default_run)
-        # The worker's heap is an immutable index plus str->bytes LRU
-        # caches: reference counting reclaims everything, and cyclic
-        # collections over the (large, long-lived) cache dicts cost
-        # tens of milliseconds each — a visible p99 stall.  Freeze the
-        # inherited heap out of the collector and turn the cycle
-        # collector off, as read-mostly servers conventionally do.
-        gc.freeze()
-        gc.disable()
         return handler, watchers
 
     def _worker_reuseport(
         self, worker_id: int, host: str, port: int, ready
     ) -> None:
-        """Worker body: own SO_REUSEPORT listener, own accept loop."""
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        sock.listen(self.plan.backlog)
+        """Forked worker body: own SO_REUSEPORT listener, own accept loop."""
+        sock = listen(host, port, self.plan.backlog, reuseport=True)
         app, __ = self._worker_app(worker_id)
+        _freeze_gc()
         server = FastHTTPServer(app, sock)
         ready.set()
         server.serve_forever()
 
     def _worker_router(self, worker_id: int, channel: socket.socket, ready) -> None:
-        """Worker body: serve connections whose fds arrive over ``channel``."""
+        """Forked worker body: serve connections passed over ``channel``."""
         # CONC003 suppressed: touching the pre-fork channel sockets here
         # is deliberate fork-fd hygiene — the child closes every
         # inherited parent-side end precisely SO that no fork-unsafe fd
@@ -403,6 +446,7 @@ class ShardedServer:
             except OSError:
                 pass
         app, __ = self._worker_app(worker_id)
+        _freeze_gc()
         server = FastHTTPServer(app, bind=False)
         ready.set()
         while True:

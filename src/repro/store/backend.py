@@ -168,10 +168,10 @@ class StorageBackend(Protocol):
 class QueryIndex:
     """Everything the server holds per epoch: pairs, demand, identity.
 
-    The concrete index type for *all* tiers (``repro.serve`` aliases it
-    as ``ServeIndex``): only the pair/demand objects inside differ per
-    backend.  ``summary()`` deliberately omits the backend name — the
-    ``/healthz`` payload is part of the byte-identity contract.
+    The concrete index type for *all* tiers: only the pair/demand
+    objects inside differ per backend.  ``summary()`` deliberately
+    omits the backend name — the ``/healthz`` payload is part of the
+    byte-identity contract.
     """
 
     config: ExperimentConfig

@@ -3,7 +3,8 @@
 IMP001 enforces this statically from the committed import-cost tables;
 these tests enforce it dynamically: a fresh interpreter importing the
 serve tier must not load ``repro.pipeline.experiments`` (or the other
-heavy batch modules), and the PEP 562 lazy exports of
+heavy batch modules) nor the stdlib ``http.server`` (its one HTTP
+shell is ``repro.serve.fasthttp``), and the PEP 562 lazy exports of
 ``repro.pipeline`` must still behave like the old eager ones.
 """
 
@@ -21,11 +22,7 @@ HEAVY_BATCH_MODULES = (
 
 def _loaded_after(statement):
     """Module names present in sys.modules after ``statement`` (fresh proc)."""
-    code = (
-        f"{statement}\n"
-        "import sys\n"
-        "print('\\n'.join(sorted(n for n in sys.modules if n.startswith('repro'))))\n"
-    )
+    code = f"{statement}\nimport sys\nprint('\\n'.join(sorted(sys.modules)))\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -45,6 +42,10 @@ def test_importing_serve_skips_the_batch_stack():
     # ...and none of the heavy batch stack rides along.
     for heavy in HEAVY_BATCH_MODULES:
         assert heavy not in loaded, heavy
+
+
+def test_importing_serve_skips_the_stdlib_http_server():
+    assert "http.server" not in _loaded_after("import repro.serve")
 
 
 def test_importing_pipeline_package_is_lazy():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.perf.history import (
     BEGIN_MARKER,
@@ -205,3 +206,11 @@ def test_reports_without_rss_render_a_dash(tmp_path):
     table = format_history(rows)
     for line in table.splitlines()[2:]:
         assert "| -" in line
+
+
+def test_committed_history_table_matches_the_reports():
+    """docs/performance.md shows what `repro bench --history` writes."""
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "docs" / "performance.md").read_text(encoding="utf-8")
+    committed = text.split(BEGIN_MARKER, 1)[1].split(END_MARKER, 1)[0]
+    assert committed.strip("\n") == format_history(collect_bench_rows(root))

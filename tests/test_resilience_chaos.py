@@ -59,18 +59,24 @@ def faults(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def baseline(tmp_path_factory):
-    """Digests of an undisturbed serial, uncached run."""
+def baseline_run(tmp_path_factory):
+    """Digests and PerfReport of an undisturbed serial, uncached run."""
     previous = os.environ.pop(ENV_FAULTS, None)
     clear_plan_cache()
     out = tmp_path_factory.mktemp("baseline")
     try:
-        run_everything_with_report(out, CONFIG, verbose=False)
+        __, report = run_everything_with_report(out, CONFIG, verbose=False)
     finally:
         if previous is not None:
             os.environ[ENV_FAULTS] = previous
         clear_plan_cache()
-    return _digests(out)
+    return _digests(out), report
+
+
+@pytest.fixture(scope="module")
+def baseline(baseline_run):
+    """Digests of an undisturbed serial, uncached run."""
+    return baseline_run[0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +123,23 @@ def test_worker_kill_rebuilds_pool_and_converges(tmp_path, faults, baseline):
         assert report.pool_rebuilds >= 1
 
 
-def test_hang_fault_times_out_and_converges(tmp_path, faults, baseline):
-    faults("op=hang,task=table2,times=1,seconds=2")
+def test_hang_fault_times_out_and_converges(tmp_path, faults, baseline_run):
+    digests, clean = baseline_run
+    # A pooled task's deadline runs from submission, so an innocent task
+    # also spends it queued behind its stage-mates.  Sizing the timeout
+    # from the clean run's measured task times keeps them clear of it
+    # on a slow host as on a fast one.
+    timeout = 4 * max(timing.seconds for timing in clean.timings)
+    faults(f"op=hang,task=table2,times=1,seconds={2 * timeout:.3f}")
     out = tmp_path / "out"
-    settings = ExecutionSettings(workers=2, task_timeout=0.3, retries=1)
+    settings = ExecutionSettings(workers=2, task_timeout=timeout, retries=1)
     __, report = run_everything_with_report(
         out, CONFIG, verbose=False, settings=settings
     )
     assert report.ok
-    assert _digests(out) == baseline
+    assert _digests(out) == digests
+    if report.workers > 1:  # single-CPU runners clamp to inline mode
+        assert report.pool_rebuilds >= 1  # the hang really timed out
 
 
 def test_cache_corruption_quarantines_and_converges(tmp_path, faults, baseline):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.runall import write_manifest
 from repro.resilience import ENV_FAULTS, clear_plan_cache
 from repro.serve import (
+    FastHTTPServer,
     RunRouter,
     ServeApp,
     ServeSettings,
@@ -21,7 +24,6 @@ from repro.serve import (
     ShardedServer,
     build_index,
     load_manifest,
-    make_server,
 )
 from repro.store import Manifest
 
@@ -129,10 +131,8 @@ def test_router_rejects_unknown_default():
 
 
 def test_router_behind_the_http_shell(router):
-    server = make_server(router)
+    server = FastHTTPServer(router, socket.create_server(("127.0.0.1", 0)))
     host, port = server.server_address[:2]
-    import threading
-
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -144,7 +144,6 @@ def test_router_behind_the_http_shell(router):
         conn.close()
     finally:
         server.shutdown()
-        server.server_close()
         thread.join(timeout=5)
 
 

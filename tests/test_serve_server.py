@@ -10,7 +10,7 @@ import pytest
 
 from repro.pipeline.config import ExperimentConfig
 from repro.resilience import ENV_FAULTS, clear_plan_cache
-from repro.serve import ServeApp, ServeSettings, make_server
+from repro.serve import FastHTTPServer, ServeApp, ServeSettings
 from repro.serve.indices import Manifest, build_index
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
@@ -293,7 +293,7 @@ def test_http_server_round_trip(index):
     app = ServeApp(
         index, ServeSettings(port=0, deadline_seconds=FAST_DEADLINE)
     )
-    server = make_server(app)
+    server = FastHTTPServer(app)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -310,6 +310,5 @@ def test_http_server_round_trip(index):
             assert response.read() == direct
     finally:
         server.shutdown()
-        server.server_close()
-        thread.join()
+        thread.join(timeout=5)
         app.close()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
+import multiprocessing
+import os
 import socket
 import threading
 
@@ -213,7 +216,7 @@ def test_fasthttp_socketless_refuses_serve_forever(index):
     app.close()
 
 
-# -- sharded deployments (forked workers) -------------------------------------
+# -- ShardedServer: one worker in-process, more forked -------------------------
 
 
 def _start(index, workers, strategy):
@@ -224,6 +227,35 @@ def _start(index, workers, strategy):
     )
     host, port = server.start()
     return server, host, port
+
+
+def test_one_worker_serves_in_process(index, expected_bodies):
+    children = set(multiprocessing.active_children())
+    server, host, port = _start(index, 1, "auto")
+    try:
+        assert server.worker_pids() == [os.getpid()]
+        assert set(multiprocessing.active_children()) == children
+        bodies, workers = _get_bodies(host, port, PROBE_PATHS)
+    finally:
+        server.stop()
+    assert bodies == [expected_bodies[p] for p in PROBE_PATHS]
+    assert set(workers) == {"0"}
+    assert server.worker_pids() == []
+    # Only forked workers switch the cyclic collector off.
+    assert gc.isenabled()
+
+
+def test_one_worker_needs_no_fork(index, expected_bodies, monkeypatch):
+    methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    server, host, port = _start(index, 1, "auto")
+    try:
+        bodies, __ = _get_bodies(host, port, PROBE_PATHS)
+    finally:
+        server.stop()
+    assert bodies == [expected_bodies[p] for p in PROBE_PATHS]
+    with pytest.raises(RuntimeError, match="fork start method"):
+        _start(index, 2, "auto")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

@@ -99,23 +99,29 @@ def test_property_greedy_dominates_size_order(inc):
 @settings(max_examples=60)
 def test_property_greedy_matches_naive_greedy(inc):
     """Lazy-heap greedy equals the O(S^2) textbook greedy step-for-step
-    in total coverage (ties may reorder picks of equal gain)."""
+    in total coverage (ties may reorder picks of equal gain).
+
+    The textbook greedy is replayed along the lazy order: at every step
+    the lazy pick must be one the textbook greedy could make (its gain
+    is the largest fresh gain of any remaining site), and the lazy run
+    must stop exactly when no site adds coverage.  A different choice
+    among tied sites can change every later gain, so the two gain
+    profiles are compared under the lazy run's own tie-breaks.
+    """
     order, gains = greedy_set_cover(inc)
 
-    covered = np.zeros(inc.n_entities, dtype=bool)
-    naive_gains = []
-    remaining = set(range(inc.n_sites))
-    while remaining:
-        best_site, best_gain = None, 0
-        for site in sorted(remaining):
-            fresh = int(np.count_nonzero(~covered[inc.site_entities(site)]))
-            if fresh > best_gain:
-                best_site, best_gain = site, fresh
-        if best_site is None:
-            break
-        covered[inc.site_entities(best_site)] = True
-        naive_gains.append(best_gain)
-        remaining.discard(best_site)
+    def fresh_gains(covered, remaining):
+        return {
+            site: int(np.count_nonzero(~covered[inc.site_entities(site)]))
+            for site in sorted(remaining)
+        }
 
-    # Greedy is deterministic in total coverage and per-step gain profile.
-    assert gains.tolist() == naive_gains
+    covered = np.zeros(inc.n_entities, dtype=bool)
+    remaining = set(range(inc.n_sites))
+    for site, gain in zip(order.tolist(), gains.tolist()):
+        fresh = fresh_gains(covered, remaining)
+        assert site in fresh  # no site is picked twice
+        assert gain == fresh[site] == max(fresh.values()) > 0
+        covered[inc.site_entities(site)] = True
+        remaining.discard(site)
+    assert max(fresh_gains(covered, remaining).values(), default=0) == 0
