@@ -329,8 +329,8 @@ def _cmd_all(args: argparse.Namespace) -> int:
         store = build_store(load_manifest(args.output))
         print(
             f"store compiled [{store.identity[:12]}]: "
-            f"{len(store.pair_blobs)} pair blob sets, "
-            f"sqlite at {store.sqlite_path}"
+            f"{len(store.pair_blobs)} pair blob sets "
+            "(the sqlite tier compiles its image on first open)"
         )
     return 0
 
@@ -973,9 +973,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_all.add_argument(
         "--compile-store",
         action="store_true",
-        help="after the run, compile the out-of-core store (mmap CSR "
-        "blobs + SQLite) so `repro serve --backend mmap|sqlite` starts "
-        "against warm artifacts (needs the cache)",
+        help="after the run, compile the store's array blobs so `repro "
+        "serve --backend ram|mmap` starts against warm artifacts (the "
+        "sqlite tier builds its image from them on first open; needs "
+        "the cache)",
     )
     run_all.set_defaults(handler=_cmd_all)
     _add_common(run_all)

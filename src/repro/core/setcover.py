@@ -50,9 +50,12 @@ def greedy_set_cover(
     covered = np.zeros(incidence.n_entities, dtype=bool)
     sizes = incidence.site_sizes()
     # Max-heap of (-stale_gain, site); initial gains are the site sizes.
-    heap: list[tuple[int, int]] = [
-        (-int(sizes[s]), s) for s in range(incidence.n_sites) if sizes[s] > 0
-    ]
+    # One vectorised pass builds the same Python-int tuples in the same
+    # (ascending site) order as a per-site loop would.
+    nonempty = np.flatnonzero(sizes > 0)
+    heap: list[tuple[int, int]] = list(
+        zip((-sizes[nonempty]).tolist(), nonempty.tolist())
+    )
     heapq.heapify(heap)
 
     order: list[int] = []

@@ -75,6 +75,22 @@ def _headline(payload: dict) -> str:
             f"p95 {latency.get('p95_ms', '?')}ms / "
             f"p99 {latency.get('p99_ms', '?')}ms"
         )
+    paired = payload.get("paired")
+    if isinstance(paired, dict) and paired:
+        # Paired parent/change runs of the end-to-end benchmark: the
+        # claimed metric's medians per workload.
+        metric = str(payload.get("claimed_metric", "setup_s"))
+        phrases = []
+        for workload, metrics in paired.items():
+            stats = metrics.get(metric) if isinstance(metrics, dict) else None
+            if isinstance(stats, dict):
+                phrases.append(
+                    f"{workload} {metric} {stats.get('parent_median', '?')} -> "
+                    f"{stats.get('change_median', '?')} (better in "
+                    f"{stats.get('wins', '?')}/{stats.get('pairs', '?')} pairs)"
+                )
+        if phrases:
+            return ", ".join(phrases)
     return str(payload.get("benchmark", "unrecognized report"))
 
 

@@ -5,13 +5,14 @@ this subsystem turns them into the indices a production system would
 *serve* — the Google-Dataset-Search shape of the workload.  The
 cooperating pieces:
 
-- :mod:`repro.serve.indices` — immutable in-memory indices built from a
-  run's :data:`~repro.pipeline.config.MANIFEST_NAME` manifest: CSR
-  entity↔site adjacency per (domain, attribute), per-site k-coverage
-  tables, demand-vs-reviews lookup tables, and catalog id maps.
-  ``build_index(..., backend=)`` also fronts the out-of-core tiers in
-  :mod:`repro.store` (``mmap`` CSR blobs, compiled SQLite) — byte-
-  identical responses, bounded residency (see ``docs/storage.md``).
+- :mod:`repro.serve.indices` — immutable indices opened from a run's
+  :data:`~repro.pipeline.config.MANIFEST_NAME` manifest over the
+  compiled store in :mod:`repro.store`: CSR entity↔site adjacency per
+  (domain, attribute), per-site k-coverage tables, demand-vs-reviews
+  lookup tables, and catalog id arrays.  ``build_index(..., backend=)``
+  picks the residency (``ram`` loads the blobs, ``mmap`` maps them,
+  ``sqlite`` queries an image compiled from them) — byte-identical
+  responses (see ``docs/storage.md``).
 - :mod:`repro.serve.server` — the transport-free JSON request core
   (``/v1/entity``, ``/v1/site`` with pagination cursors,
   ``/v1/coverage``, ``/v1/demand``, ``/v1/setcover``, ``/healthz``,
@@ -47,12 +48,7 @@ concurrently without locks.
 
 from repro.serve.batcher import MicroBatcher
 from repro.serve.fasthttp import FastHTTPServer
-from repro.serve.indices import (
-    PairIndex,
-    build_index,
-    load_manifest,
-    manifest_identity,
-)
+from repro.serve.indices import build_index, load_manifest, manifest_identity
 from repro.serve.loadgen import (
     LoadPlan,
     LoadResult,
@@ -93,7 +89,6 @@ __all__ = [
     "MicroBatcher",
     "OpenLoadPlan",
     "OpenLoadResult",
-    "PairIndex",
     "ResponseCache",
     "RunRouter",
     "ServeApp",

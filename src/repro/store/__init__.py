@@ -1,12 +1,18 @@
-"""Tiered out-of-core query storage behind the serving contract.
+"""Tiered query storage behind the serving contract.
 
 The paper's corpus is web-scale; an in-RAM CSR index caps catalog size
-at memory.  ``repro.store`` provides three interchangeable tiers —
-``ram`` (built by :mod:`repro.serve.indices`), ``mmap`` (CSR blobs
-opened with ``mmap_mode="r"``), and ``sqlite`` (adjacency, k-coverage
-ranks, and demand bins queried in SQL) — all compiled from a run
-manifest by :func:`build_store` into cache-addressed artifacts and all
-rendering byte-identical ``/v1/*`` responses.
+at memory.  :func:`build_store` compiles a run manifest once into
+cache-addressed array blobs (CSR both ways, the dense coverage table,
+host/id strings with their sort orders, demand bins), and three
+interchangeable tiers open them, all rendering byte-identical
+``/v1/*`` responses:
+
+- ``ram`` loads the blobs whole and ``mmap`` maps them with
+  ``mmap_mode="r"``; both answer through the one
+  :class:`~repro.store.mmapcsr.ArrayPair`;
+- ``sqlite`` queries an image (adjacency, k-coverage ranks, demand
+  bins) that :mod:`repro.store.sql` compiles from the blobs on its
+  first open.
 
 Layering: ``store`` sits *below* ``serve`` (it may import ``core``,
 ``perf``, ``pipeline``, ``resilience``; never the HTTP tier) so the
@@ -30,15 +36,15 @@ from repro.store.compile import (
 )
 from repro.store.demand import DemandTable
 from repro.store.manifest import Manifest, load_manifest, manifest_identity
-from repro.store.mmapcsr import MmapPair
+from repro.store.mmapcsr import ArrayPair
 from repro.store.sql import SqliteDemandTable, SqlitePair, SqliteStore
 
 __all__ = [
+    "ArrayPair",
     "BACKENDS",
     "CsrView",
     "DemandTable",
     "Manifest",
-    "MmapPair",
     "PairBackend",
     "QueryIndex",
     "STORE_FORMAT",

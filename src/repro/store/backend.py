@@ -1,20 +1,24 @@
 """Backend protocol, tier selection, and shared query-index runtime.
 
 ``repro.store`` puts three interchangeable storage tiers behind the
-serving contract:
+serving contract, all opened from the array store that
+:func:`~repro.store.compile.build_store` compiles:
 
 ``ram``
-    The classic in-memory CSR index built by
-    :func:`repro.serve.indices.build_index` — fastest, but resident
-    size grows linearly with the corpus.
+    The compiled per-pair ``.npy`` blobs loaded whole — fastest, but
+    resident size grows linearly with the corpus.  Without an artifact
+    cache (``--no-cache``), or over a size-bounded one, the same packed
+    arrays are compiled in memory and never published.
 ``mmap``
-    The same CSR arrays compiled to individual ``.npy`` blobs and
-    opened with ``np.load(..., mmap_mode="r")``, so the OS pages
-    adjacency in on demand and cold rows cost no RSS.
+    The same blobs opened with ``np.load(..., mmap_mode="r")``, so the
+    OS pages adjacency in on demand and cold rows cost no RSS.  Both
+    array residencies answer through one pair class
+    (:class:`~repro.store.mmapcsr.ArrayPair`).
 ``sqlite``
     Adjacency, k-coverage ranks, and demand bins pushed into a single
-    SQLite file over integer-encoded entities/sites with covering
-    indices; queries run in SQL.
+    SQLite file (compiled from the blobs on the first ``sqlite`` open)
+    over integer-encoded entities/sites with covering indices; queries
+    run in SQL.
 
 Every tier exposes the same duck type (:class:`StorageBackend` /
 :class:`PairBackend`) and must render **byte-identical** ``/v1/*``
@@ -35,7 +39,7 @@ import numpy as np
 from repro.core.setcover import greedy_set_cover
 from repro.pipeline.config import ExperimentConfig
 from repro.store.demand import DemandTable
-from repro.store.manifest import Manifest, manifest_identity
+from repro.store.manifest import Manifest
 
 __all__ = [
     "BACKENDS",
@@ -313,26 +317,35 @@ def choose_backend(manifest: Manifest) -> str:
 def open_backend(
     manifest: Manifest, backend: str, cache: Any = None
 ) -> QueryIndex:
-    """Open an out-of-core backend, compiling the store if needed.
+    """Open a storage tier over a manifest, compiling the store if needed.
 
-    ``backend`` must be ``"mmap"`` or ``"sqlite"`` (``ram`` is built by
-    :func:`repro.serve.indices.build_index`, which owns the pipeline
-    builders).  Compilation is idempotent: against a warm artifact
-    cache this is pure open, against a cold one :func:`build_store`
-    regenerates the blobs first.
+    ``backend`` is ``"ram"``, ``"mmap"`` or ``"sqlite"``.  Compilation is
+    idempotent: against a warm artifact cache this is pure open (every
+    blob digest-verified), against a cold one :func:`build_store`
+    regenerates the blobs first.  With no cache at all, ``ram``
+    compiles the same arrays in memory and publishes nothing; the
+    out-of-core tiers raise ``RuntimeError``.  ``ram`` does the same
+    over a size-bounded cache, whose eviction can drop the store's
+    blobs while they are being published (the out-of-core tiers then
+    fail the read-back).
     """
-    from repro.store.compile import build_store
-    from repro.store.mmapcsr import open_mmap_pairs
+    from repro.perf.cache import active_cache
+    from repro.store.compile import build_store, materialize_store
+    from repro.store.mmapcsr import open_array_pairs
     from repro.store.sql import open_sqlite_pairs
 
-    if backend not in ("mmap", "sqlite"):
-        raise ValueError(f"unknown out-of-core backend {backend!r}")
+    if backend not in ("ram", "mmap", "sqlite"):
+        raise ValueError(f"unknown storage backend {backend!r}")
     started = time.perf_counter()
-    artifacts = build_store(manifest, cache=cache)
-    if backend == "mmap":
-        pairs, demand = open_mmap_pairs(artifacts)
+    cache = cache if cache is not None else active_cache()
+    if backend == "ram" and (cache is None or cache.max_bytes is not None):
+        artifacts = materialize_store(manifest)
     else:
-        pairs, demand = open_sqlite_pairs(artifacts)
+        artifacts = build_store(manifest, cache=cache)
+    if backend == "sqlite":
+        pairs, demand = open_sqlite_pairs(artifacts, cache)
+    else:
+        pairs, demand = open_array_pairs(artifacts, resident=backend == "ram")
     default_attribute: dict[str, str] = {}
     for domain, attribute in manifest.spread_pairs:
         default_attribute.setdefault(domain, attribute)
@@ -341,7 +354,7 @@ def open_backend(
         pairs=pairs,
         default_attribute=default_attribute,
         demand=demand,
-        identity=manifest_identity(manifest),
+        identity=artifacts.identity,
         build_seconds=time.perf_counter() - started,
         backend=backend,
     )

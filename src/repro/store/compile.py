@@ -1,34 +1,37 @@
-"""`build_store`: compile a manifest's corpora into out-of-core blobs.
+"""`build_store`: compile a manifest's corpora into array blobs.
 
 The compiler routes every corpus through the *cache-aware* pipeline
 builders (:func:`~repro.pipeline.experiments.spread_incidence` /
-:func:`~repro.pipeline.experiments.build_traffic_dataset`) — exactly
-like the in-RAM index builder — then lowers the read-optimized layout
-into cache-addressed artifacts keyed on the manifest identity:
+:func:`~repro.pipeline.experiments.build_traffic_dataset`), then lowers
+the read-optimized layout into cache-addressed artifacts keyed on the
+manifest identity:
 
 - per pair, individual ``.npy`` blobs (CSR both ways, the dense
-  coverage table, host/id string arrays plus their sort orders) that
-  the mmap tier opens with ``mmap_mode="r"``.  Individual files, not
-  an ``.npz``: ``np.load`` silently ignores ``mmap_mode`` for zip
-  members, which would quietly re-inflate the index into RAM;
+  coverage table, host/id string arrays plus their sort orders).  The
+  ``ram`` tier loads them whole and the ``mmap`` tier maps them with
+  ``mmap_mode="r"``.  Individual files, not an ``.npz``: ``np.load``
+  silently ignores ``mmap_mode`` for zip members, which would quietly
+  re-inflate the index into RAM;
 - per traffic site, one small ``.npz`` bundle of demand-bin arrays;
-- one ``.sqlite`` file holding integer-encoded adjacency, size-rank
-  encodings, window-function-derived k-coverage ranks, and demand
-  bins for the SQL tier;
 - one ``meta`` record blob, published **last** so its presence implies
   every other blob was published.
+
+The SQLite image is not compiled here: :mod:`repro.store.sql` builds it
+from these blobs the first time a ``sqlite`` tier opens the store, so
+no ``ram`` or ``mmap`` open (and no ``repro all --compile-store``) pays
+for an image it never reads.
 
 Compilation is idempotent and crash/chaos-safe: each blob is published
 atomically with a sha256 sidecar, and the final read-back re-verifies
 every digest.  An injected ``op=corrupt`` fault (or real bit rot)
 therefore fails the compile loudly — the hot-reload watcher keeps the
-previous epoch instead of serving a torn store.
+previous epoch instead of serving a torn store.  Without an artifact
+cache, :func:`materialize_store` returns the same packed arrays in
+memory, unpublished (the ``ram`` tier under ``--no-cache``).
 """
 
 from __future__ import annotations
 
-import json
-import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,13 +50,16 @@ __all__ = [
     "TOP_HOSTS",
     "StoreArtifacts",
     "build_store",
+    "load_blob",
+    "materialize_store",
     "store_blob_key",
+    "unpack_texts",
 ]
 
 STORE_FORMAT = "repro-store-v2"
 
 #: Hosts advertised per pair (head of the size-ranked order); bounds
-#: the /healthz payload at paper scale.  Shared with the RAM tier.
+#: the /healthz payload at paper scale.
 TOP_HOSTS = 50
 
 #: Demand sources every traffic dataset exposes, in table order.
@@ -73,82 +79,6 @@ PAIR_MEMBERS = (
 
 PAIR_ID_MEMBERS = ("entity_ids", "ids_sorted", "id_order")
 
-_SCHEMA = """
-CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
-CREATE TABLE pairs(
-    pair_id INTEGER PRIMARY KEY,
-    domain TEXT NOT NULL,
-    attribute TEXT NOT NULL,
-    n_entities INTEGER NOT NULL,
-    n_sites INTEGER NOT NULL,
-    ks TEXT NOT NULL,
-    top_hosts TEXT NOT NULL,
-    has_ids INTEGER NOT NULL
-);
-CREATE TABLE sites(
-    pair_id INTEGER NOT NULL,
-    site INTEGER NOT NULL,
-    host TEXT NOT NULL,
-    size INTEGER NOT NULL,
-    site_rank INTEGER NOT NULL,
-    PRIMARY KEY (pair_id, site)
-) WITHOUT ROWID;
-CREATE INDEX sites_by_host ON sites(pair_id, host, site);
-CREATE TABLE entities(
-    pair_id INTEGER NOT NULL,
-    entity INTEGER NOT NULL,
-    label TEXT NOT NULL,
-    PRIMARY KEY (pair_id, entity)
-) WITHOUT ROWID;
-CREATE INDEX entities_by_label ON entities(pair_id, label, entity);
-CREATE TABLE edges(
-    pair_id INTEGER NOT NULL,
-    site INTEGER NOT NULL,
-    pos INTEGER NOT NULL,
-    entity INTEGER NOT NULL,
-    PRIMARY KEY (pair_id, site, pos)
-) WITHOUT ROWID;
-CREATE INDEX edges_by_entity ON edges(pair_id, entity, site);
-CREATE TABLE kcov(
-    pair_id INTEGER NOT NULL,
-    k INTEGER NOT NULL,
-    first_rank INTEGER NOT NULL
-);
-CREATE INDEX kcov_by_rank ON kcov(pair_id, k, first_rank);
-CREATE TABLE demand_bins(
-    site TEXT NOT NULL,
-    source TEXT NOT NULL,
-    idx INTEGER NOT NULL,
-    center REAL NOT NULL,
-    mean REAL NOT NULL,
-    PRIMARY KEY (site, source, idx)
-) WITHOUT ROWID;
-CREATE TABLE demand_meta(
-    site TEXT PRIMARY KEY,
-    sources TEXT NOT NULL,
-    max_reviews INTEGER NOT NULL
-);
-CREATE TABLE ks_seq(k INTEGER PRIMARY KEY);
-"""
-
-# The k-th smallest size-rank among each entity's sites: entity e
-# counts toward coverage(k, t) iff its k-th mention (in the paper's
-# size-ranked site order) sits at rank <= t.  ROW_NUMBER is
-# deterministic here because site_rank is a strict permutation.
-_KCOV_FILL = """
-INSERT INTO kcov(pair_id, k, first_rank)
-SELECT pair_id, occ, site_rank FROM (
-    SELECT e.pair_id AS pair_id,
-           ROW_NUMBER() OVER (
-               PARTITION BY e.pair_id, e.entity ORDER BY s.site_rank
-           ) AS occ,
-           s.site_rank AS site_rank
-    FROM edges AS e
-    JOIN sites AS s ON s.pair_id = e.pair_id AND s.site = e.site
-)
-WHERE occ IN (SELECT k FROM ks_seq)
-"""
-
 
 def store_blob_key(identity: str, member: str) -> str:
     """Cache key of one compiled-store blob for an index identity.
@@ -163,35 +93,20 @@ def store_blob_key(identity: str, member: str) -> str:
 
 
 @dataclass(frozen=True)
-class _PairData:
-    """Materialized per-pair arrays, staged for publication."""
-
-    domain: str
-    attribute: str
-    n_entities: int
-    n_sites: int
-    ks: tuple[int, ...]
-    top_hosts: tuple[str, ...]
-    arrays: dict[str, np.ndarray] = field(repr=False)
-    rank_of: np.ndarray = field(repr=False)
-    labels: list[str] | None = field(repr=False)
-
-
-@dataclass(frozen=True)
 class StoreArtifacts:
-    """Verified handles to a compiled store's blobs.
+    """Handles to a compiled store's blobs.
 
     ``demand`` is materialized eagerly (the bundles are a few dozen
-    floats); pair blobs stay as paths so the mmap tier can map them
-    without reading.
+    floats).  A published store's pair blobs stay as verified paths so
+    the mmap tier can map them without reading; an unpublished one
+    (:func:`materialize_store`) holds the packed arrays themselves.
     """
 
     manifest: Manifest
     identity: str
     meta: dict
-    pair_blobs: dict[tuple[str, str], dict[str, Path]]
+    pair_blobs: dict[tuple[str, str], dict[str, Path | np.ndarray]]
     demand: dict[str, DemandTable] = field(repr=False)
-    sqlite_path: Path
 
 
 def _save_npy(tmp: Path, array: np.ndarray) -> None:
@@ -209,9 +124,9 @@ def _pack_blob(array: np.ndarray) -> np.ndarray:
 
     - unicode arrays (hosts, catalog ids) become fixed-width UTF-8
       bytes — 4x narrower than numpy's UCS-4, and safe for the sorted
-      blobs because UTF-8 byte order equals code-point order, so
-      ``searchsorted`` against an encoded needle agrees with the
-      unicode sort;
+      blobs because UTF-8 byte order equals code-point order, so a
+      binary search with an encoded needle agrees with the unicode
+      sort;
     - int64 index/pointer arrays halve to int32 when every value fits
       (they are non-negative entity/site indices and edge offsets).
 
@@ -226,11 +141,24 @@ def _pack_blob(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _materialize_pair(domain: str, attribute: str, config) -> _PairData:
-    """Build one pair's read-optimized arrays (same math as the RAM tier)."""
-    # Lazy: this module is imported by serve/indices at worker boot, but
-    # compiling a store is a build-time operation; the experiment stack
-    # (~11 MB RSS) must not ride along into every worker (IMP001).
+def unpack_texts(array: np.ndarray) -> list[str]:
+    """A packed string blob (or a slice of one) as Python strings."""
+    return [value.decode("utf-8") for value in array.tolist()]
+
+
+def load_blob(blob: Path | np.ndarray) -> np.ndarray:
+    """A pair blob in memory: a published path is read whole."""
+    if isinstance(blob, np.ndarray):
+        return blob
+    return np.load(blob, allow_pickle=False)
+
+
+def _materialize_pair(
+    domain: str, attribute: str, config
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """One pair's meta row and packed blob arrays."""
+    # Lazy: the experiment stack (~11 MB RSS) must not ride along into
+    # every serve worker that imports the store (IMP001).
     from repro.pipeline.experiments import spread_incidence
 
     incidence = spread_incidence(domain, attribute, config)
@@ -242,13 +170,10 @@ def _materialize_pair(domain: str, attribute: str, config) -> _PairData:
         checkpoints=np.arange(1, n_sites + 1, dtype=np.int64),
     )
     ranked = incidence.sites_by_size()
-    rank_of = np.empty(n_sites, dtype=np.int64)
-    rank_of[ranked] = np.arange(1, n_sites + 1, dtype=np.int64)
-    top_hosts = tuple(incidence.site_hosts[int(s)] for s in ranked[:TOP_HOSTS])
     hosts = np.asarray(incidence.site_hosts)
-    # Sort by host with ascending index as tie-break, then resolve
-    # duplicates with the *last* (largest) index via searchsorted
-    # side="right" - 1 — matching the RAM tier's dict-last-wins.
+    # Sort by host with ascending index as tie-break, so duplicates
+    # resolve to the *last* (largest) index via bisect_right - 1 (see
+    # mmapcsr._find_last).
     host_order = np.lexsort((np.arange(n_sites), hosts))
     arrays: dict[str, np.ndarray] = {
         "site_ptr": incidence.site_ptr,
@@ -267,21 +192,20 @@ def _materialize_pair(domain: str, attribute: str, config) -> _PairData:
         arrays["entity_ids"] = ids
         arrays["ids_sorted"] = ids[id_order]
         arrays["id_order"] = id_order.astype(np.int64)
-    return _PairData(
-        domain=domain,
-        attribute=attribute,
-        n_entities=incidence.n_entities,
-        n_sites=n_sites,
-        ks=tuple(int(k) for k in curves.ks),
-        top_hosts=top_hosts,
-        arrays=arrays,
-        rank_of=rank_of,
-        labels=list(labels) if labels is not None else None,
-    )
+    row = {
+        "domain": domain,
+        "attribute": attribute,
+        "n_entities": incidence.n_entities,
+        "n_sites": n_sites,
+        "ks": [int(k) for k in curves.ks],
+        "top_hosts": [incidence.site_hosts[int(s)] for s in ranked[:TOP_HOSTS]],
+        "has_ids": labels is not None,
+    }
+    return row, {name: _pack_blob(array) for name, array in arrays.items()}
 
 
-def _materialize_demand(site: str, config) -> tuple[dict[str, np.ndarray], int]:
-    """Build one traffic site's demand-bin arrays."""
+def _materialize_demand(site: str, config) -> tuple[dict, dict[str, np.ndarray]]:
+    """One traffic site's meta row and demand-bin arrays."""
     from repro.pipeline.experiments import build_traffic_dataset  # lazy: see _materialize_pair
 
     dataset = build_traffic_dataset(site, config)
@@ -291,162 +215,97 @@ def _materialize_demand(site: str, config) -> tuple[dict[str, np.ndarray], int]:
         arrays[f"{source}_counts"] = counts
         arrays[f"{source}_means"] = means
     max_reviews = int(dataset.reviews.max()) if len(dataset.reviews) else 0
-    return arrays, max_reviews
+    row = {"site": site, "sources": list(DEMAND_SOURCES), "max_reviews": max_reviews}
+    return row, arrays
 
 
-def _write_sqlite(
-    tmp: Path, pairs: list[_PairData], demand_meta: dict, demand_arrays: dict
-) -> None:
-    """Write the full SQL tier into ``tmp`` (published atomically after)."""
-    conn = sqlite3.connect(tmp)
-    try:
-        conn.execute("PRAGMA journal_mode=OFF")
-        conn.execute("PRAGMA synchronous=OFF")
-        conn.executescript(_SCHEMA)
-        conn.executemany(
-            "INSERT INTO meta(key, value) VALUES (?, ?)",
-            [("format", STORE_FORMAT)],
-        )
-        ks: tuple[int, ...] = ()
-        for pair_id, data in enumerate(pairs):
-            ks = data.ks  # one config => identical ks across pairs
-            conn.execute(
-                "INSERT INTO pairs(pair_id, domain, attribute, n_entities,"
-                " n_sites, ks, top_hosts, has_ids)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    pair_id,
-                    data.domain,
-                    data.attribute,
-                    data.n_entities,
-                    data.n_sites,
-                    json.dumps(list(data.ks)),
-                    json.dumps(list(data.top_hosts)),
-                    int(data.labels is not None),
-                ),
-            )
-            site_ptr = data.arrays["site_ptr"]
-            sizes = np.diff(site_ptr)
-            hosts = data.arrays["hosts"]
-            conn.executemany(
-                "INSERT INTO sites(pair_id, site, host, size, site_rank)"
-                " VALUES (?, ?, ?, ?, ?)",
-                zip(
-                    (pair_id,) * data.n_sites,
-                    range(data.n_sites),
-                    (str(h) for h in hosts),
-                    sizes.tolist(),
-                    data.rank_of.tolist(),
-                ),
-            )
-            if data.labels is not None:
-                conn.executemany(
-                    "INSERT INTO entities(pair_id, entity, label)"
-                    " VALUES (?, ?, ?)",
-                    zip(
-                        (pair_id,) * data.n_entities,
-                        range(data.n_entities),
-                        data.labels,
-                    ),
-                )
-            entity_idx = data.arrays["entity_idx"]
-            n_edges = len(entity_idx)
-            site_per_edge = np.repeat(
-                np.arange(data.n_sites, dtype=np.int64), sizes
-            )
-            pos_per_edge = np.arange(n_edges, dtype=np.int64) - np.repeat(
-                site_ptr[:-1], sizes
-            )
-            conn.executemany(
-                "INSERT INTO edges(pair_id, site, pos, entity)"
-                " VALUES (?, ?, ?, ?)",
-                zip(
-                    (pair_id,) * n_edges,
-                    site_per_edge.tolist(),
-                    pos_per_edge.tolist(),
-                    entity_idx.tolist(),
-                ),
-            )
-        conn.executemany(
-            "INSERT INTO ks_seq(k) VALUES (?)", [(int(k),) for k in ks]
-        )
-        conn.execute(_KCOV_FILL)
-        for site, payload in demand_meta.items():
-            conn.execute(
-                "INSERT INTO demand_meta(site, sources, max_reviews)"
-                " VALUES (?, ?, ?)",
-                (site, json.dumps(payload["sources"]), payload["max_reviews"]),
-            )
-            arrays = demand_arrays[site]
-            for source in payload["sources"]:
-                counts = arrays[f"{source}_counts"]
-                means = arrays[f"{source}_means"]
-                conn.executemany(
-                    "INSERT INTO demand_bins(site, source, idx, center, mean)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    zip(
-                        (site,) * len(counts),
-                        (source,) * len(counts),
-                        range(len(counts)),
-                        counts.tolist(),
-                        means.tolist(),
-                    ),
-                )
-        conn.commit()
-    finally:
-        conn.close()
+def _demand_table(row: dict, arrays: dict[str, np.ndarray]) -> DemandTable:
+    return DemandTable(
+        site=row["site"],
+        sources={
+            source: (arrays[f"{source}_counts"], arrays[f"{source}_means"])
+            for source in row["sources"]
+        },
+        max_reviews=int(row["max_reviews"]),
+    )
 
 
 def _pair_member_names(has_ids: bool) -> tuple[str, ...]:
     return PAIR_MEMBERS + (PAIR_ID_MEMBERS if has_ids else ())
 
 
-def _open_existing(
-    manifest: Manifest, cache: ArtifactCache, identity: str, meta: dict
-) -> StoreArtifacts | None:
-    """Resolve (and digest-verify) every blob; None if any is missing."""
-    pair_blobs: dict[tuple[str, str], dict[str, Path]] = {}
-    for row in meta["pairs"]:
-        domain, attribute = row["domain"], row["attribute"]
-        blobs: dict[str, Path] = {}
-        for name in _pair_member_names(bool(row["has_ids"])):
-            key = store_blob_key(identity, f"pair/{domain}/{attribute}/{name}")
-            path = cache.get_file(key, ".npy")
-            if path is None:
-                return None
-            blobs[name] = path
-        pair_blobs[(domain, attribute)] = blobs
+def _pair_member_key(identity: str, row: dict, name: str) -> str:
+    return store_blob_key(identity, f"pair/{row['domain']}/{row['attribute']}/{name}")
+
+
+def materialize_store(manifest: Manifest) -> StoreArtifacts:
+    """Compile a manifest's store in memory, publishing nothing.
+
+    The pair blobs are the packed arrays :func:`build_store` would
+    publish, so a tier opened over them answers byte-identically to
+    one opened over the published store.
+    """
+    config = manifest.config
+    pair_rows: list[dict] = []
+    pair_blobs: dict[tuple[str, str], dict[str, Path | np.ndarray]] = {}
+    for domain, attribute in manifest.spread_pairs:
+        row, arrays = _materialize_pair(domain, attribute, config)
+        pair_rows.append(row)
+        pair_blobs[(domain, attribute)] = arrays
+    demand_rows: list[dict] = []
     demand: dict[str, DemandTable] = {}
-    for row in meta["demand"]:
-        site = row["site"]
-        arrays = cache.get_arrays(store_blob_key(identity, f"demand/{site}"))
-        if arrays is None:
-            return None
-        demand[site] = DemandTable(
-            site=site,
-            sources={
-                source: (arrays[f"{source}_counts"], arrays[f"{source}_means"])
-                for source in row["sources"]
-            },
-            max_reviews=int(row["max_reviews"]),
-        )
-    sqlite_path = cache.get_file(store_blob_key(identity, "sqlite"), ".sqlite")
-    if sqlite_path is None:
-        return None
+    for site in manifest.traffic_sites:
+        row, arrays = _materialize_demand(site, config)
+        demand_rows.append(row)
+        demand[site] = _demand_table(row, arrays)
+    identity = manifest_identity(manifest)
+    meta = {
+        "format": STORE_FORMAT,
+        "identity": identity,
+        "pairs": pair_rows,
+        "demand": demand_rows,
+    }
     return StoreArtifacts(
         manifest=manifest,
         identity=identity,
         meta=meta,
         pair_blobs=pair_blobs,
         demand=demand,
-        sqlite_path=sqlite_path,
+    )
+
+
+def _open_existing(
+    manifest: Manifest, cache: ArtifactCache, identity: str, meta: dict
+) -> StoreArtifacts | None:
+    """Resolve (and digest-verify) every blob; None if any is missing."""
+    pair_blobs: dict[tuple[str, str], dict[str, Path | np.ndarray]] = {}
+    for row in meta["pairs"]:
+        blobs: dict[str, Path | np.ndarray] = {}
+        for name in _pair_member_names(bool(row["has_ids"])):
+            path = cache.get_file(_pair_member_key(identity, row, name), ".npy")
+            if path is None:
+                return None
+            blobs[name] = path
+        pair_blobs[(row["domain"], row["attribute"])] = blobs
+    demand: dict[str, DemandTable] = {}
+    for row in meta["demand"]:
+        arrays = cache.get_arrays(store_blob_key(identity, f"demand/{row['site']}"))
+        if arrays is None:
+            return None
+        demand[row["site"]] = _demand_table(row, arrays)
+    return StoreArtifacts(
+        manifest=manifest,
+        identity=identity,
+        meta=meta,
+        pair_blobs=pair_blobs,
+        demand=demand,
     )
 
 
 def build_store(
     manifest: Manifest, cache: ArtifactCache | None = None
 ) -> StoreArtifacts:
-    """Compile (or reopen) the out-of-core store for a manifest.
+    """Compile (or reopen) the array store for a manifest.
 
     Idempotent per blob: against a warm cache this verifies digests and
     returns paths; against a cold (or partially quarantined) cache it
@@ -471,70 +330,35 @@ def build_store(
         if existing is not None:
             return existing
 
-    config = manifest.config
-    pairs = [
-        _materialize_pair(domain, attribute, config)
-        for domain, attribute in manifest.spread_pairs
-    ]
-    demand_arrays: dict[str, dict[str, np.ndarray]] = {}
-    demand_meta: dict[str, dict] = {}
-    for site in manifest.traffic_sites:
-        arrays, max_reviews = _materialize_demand(site, config)
-        demand_arrays[site] = arrays
-        demand_meta[site] = {
-            "site": site,
-            "sources": list(DEMAND_SOURCES),
-            "max_reviews": max_reviews,
-        }
-
-    for data in pairs:
-        for name, array in data.arrays.items():
-            key = store_blob_key(
-                identity, f"pair/{data.domain}/{data.attribute}/{name}"
-            )
+    compiled = materialize_store(manifest)
+    for row in compiled.meta["pairs"]:
+        blobs = compiled.pair_blobs[(row["domain"], row["attribute"])]
+        for name, array in blobs.items():
+            key = _pair_member_key(identity, row, name)
             if cache.get_file(key, ".npy") is None:
                 cache.put_file(
-                    key,
-                    ".npy",
-                    lambda tmp, arr=_pack_blob(array): _save_npy(tmp, arr),
+                    key, ".npy", lambda tmp, arr=array: _save_npy(tmp, arr)
                 )
-    for site, arrays in demand_arrays.items():
+    for site, table in compiled.demand.items():
         key = store_blob_key(identity, f"demand/{site}")
         if cache.get_arrays(key) is None:
-            cache.put_arrays(key, arrays)
-    sqlite_key = store_blob_key(identity, "sqlite")
-    if cache.get_file(sqlite_key, ".sqlite") is None:
-        cache.put_file(
-            sqlite_key,
-            ".sqlite",
-            lambda tmp: _write_sqlite(tmp, pairs, demand_meta, demand_arrays),
-        )
+            cache.put_arrays(
+                key,
+                {
+                    f"{source}_{part}": array
+                    for source, bins in table.sources.items()
+                    for part, array in zip(("counts", "means"), bins)
+                },
+            )
 
-    meta = {
-        "format": STORE_FORMAT,
-        "identity": identity,
-        "pairs": [
-            {
-                "domain": data.domain,
-                "attribute": data.attribute,
-                "n_entities": data.n_entities,
-                "n_sites": data.n_sites,
-                "ks": list(data.ks),
-                "top_hosts": list(data.top_hosts),
-                "has_ids": data.labels is not None,
-            }
-            for data in pairs
-        ],
-        "demand": list(demand_meta.values()),
-    }
     # Meta goes last: its presence implies every blob above was
     # published.  The read-back below re-verifies every digest so a
     # corrupted publish fails the compile instead of serving torn data.
-    cache.put_records(meta_key, [meta])
-    compiled = _open_existing(manifest, cache, identity, meta)
-    if compiled is None:
+    cache.put_records(meta_key, [compiled.meta])
+    reopened = _open_existing(manifest, cache, identity, compiled.meta)
+    if reopened is None:
         raise RuntimeError(
             f"store compile for identity {identity} failed read-back "
             "verification (blobs quarantined); refusing to serve a torn store"
         )
-    return compiled
+    return reopened

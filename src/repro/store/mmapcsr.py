@@ -1,15 +1,30 @@
-"""Memory-mapped CSR pair backend.
+"""The array tier: one pair backend over the compiled store's blobs.
 
-Opens the compiler's per-pair ``.npy`` blobs with
-``np.load(..., mmap_mode="r")``: the process maps the files and the OS
-pages adjacency rows in on demand, so resident size tracks the working
-set instead of the corpus.  String resolution (host → site, catalog id
-→ entity) binary-searches pre-sorted string blobs via
-``np.searchsorted`` — O(log n) page touches instead of a resident hash
-map — with ``side="right" - 1`` picking the largest index among
-duplicates, exactly matching the RAM tier's dict-last-wins semantics.
+The ``ram`` and ``mmap`` tiers open the same per-pair ``.npy`` blobs
+that :func:`~repro.store.compile.build_store` publishes and answer
+through the same :class:`ArrayPair`; only residency differs:
 
-Every numeric path reuses the same shared code as the RAM tier
+``ram``
+    Every blob loaded whole with ``np.load``.  Index arrays are widened
+    from their packed int32 to ``intp``, numpy's native index type:
+    greedy set cover runs 25–35% slower over int32 arrays, which every
+    fancy index has to convert first.
+``mmap``
+    Every blob mapped with ``np.load(..., mmap_mode="r")``: the OS
+    pages adjacency in on demand, so resident size tracks the working
+    set instead of the corpus.  The pair holds plain ``ndarray`` views
+    of the maps (same pages, faulted lazily, kept alive through
+    ``.base``), because every slice of an ``np.memmap`` pays the
+    subclass's Python-level overhead.
+
+String resolution (host → site, catalog id → entity) binary-searches
+pre-sorted string blobs (``bisect_right`` over the array) — O(log n)
+page touches instead of a resident hash map — and steps back one to
+pick the largest index among duplicates (a host map's last-wins rule).
+Listings (``entity_site_hosts``, ``site_hosts``, ``entity_labels``)
+take one fancy index into the string blob and one ``tolist()``.
+
+Every numeric path reuses shared code
 (:func:`~repro.core.setcover.greedy_set_cover` through
 :class:`~repro.store.backend.CsrView`, the dense coverage table, the
 :class:`~repro.store.demand.DemandTable` lookup), so responses are
@@ -18,17 +33,19 @@ byte-identical by construction.
 
 from __future__ import annotations
 
+import bisect
 import mmap
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.store.backend import CsrView, check_top_t, coverage_row, run_set_cover
-from repro.store.compile import StoreArtifacts
+from repro.store.compile import StoreArtifacts, load_blob, unpack_texts
 
-__all__ = ["MmapPair", "open_mmap_pairs"]
+__all__ = ["ArrayPair", "MmapPair", "open_array_pairs"]
 
 
 def _advise_random(array: np.ndarray) -> np.ndarray:
@@ -68,33 +85,41 @@ def _drop_page_cache(path: str | os.PathLike) -> None:
         os.close(fd)
 
 
-def _text(value: Any) -> str:
-    """Render a blob element as text (UTF-8 bytes or unicode)."""
-    if isinstance(value, bytes):
-        return value.decode("utf-8")
-    return str(value)
+def _resident(blob: Path | np.ndarray) -> np.ndarray:
+    """A blob loaded whole, its index arrays widened to ``intp``."""
+    array = load_blob(blob)
+    if array.dtype.kind == "i" and array.dtype != np.intp:
+        return array.astype(np.intp)
+    return array
 
 
-def _searchsorted_last(sorted_values: np.ndarray, needle: str) -> int:
+def _mapped(path: Path) -> np.ndarray:
+    """A blob mapped read-only, as a plain ``ndarray`` view of the map."""
+    array = _advise_random(np.load(path, mmap_mode="r", allow_pickle=False))
+    _drop_page_cache(path)
+    return array.view(np.ndarray)
+
+
+def _find_last(sorted_values: np.ndarray, needle: str) -> int:
     """Index of the last occurrence of ``needle``, or -1 when absent.
 
     String blobs are stored as fixed-width UTF-8 bytes (see
     ``compile._pack_blob``); UTF-8 byte order equals code-point order,
     so searching with the encoded needle agrees with the unicode sort
-    that produced the blob.
+    that produced the blob.  ``bisect`` probes the array in place: the
+    same O(log n) element reads as ``np.searchsorted``, without first
+    converting the needle to an array (half the cost of a lookup).
     """
-    key: str | bytes = needle
-    if sorted_values.dtype.kind == "S":
-        key = needle.encode("utf-8")
-    pos = int(np.searchsorted(sorted_values, key, side="right")) - 1
+    key = needle.encode("utf-8")
+    pos = bisect.bisect_right(sorted_values, key) - 1
     if pos >= 0 and sorted_values[pos] == key:
         return pos
     return -1
 
 
 @dataclass(frozen=True)
-class MmapPair:
-    """One (domain, attribute) corpus served from memory-mapped blobs."""
+class ArrayPair:
+    """One (domain, attribute) corpus served from the store's arrays."""
 
     domain: str
     attribute: str
@@ -108,9 +133,9 @@ class MmapPair:
     hosts: np.ndarray = field(repr=False)
     hosts_sorted: np.ndarray = field(repr=False)
     host_order: np.ndarray = field(repr=False)
-    entity_ids: np.ndarray | None = field(repr=False)
-    ids_sorted: np.ndarray | None = field(repr=False)
-    id_order: np.ndarray | None = field(repr=False)
+    entity_ids: np.ndarray | None = field(default=None, repr=False)
+    ids_sorted: np.ndarray | None = field(default=None, repr=False)
+    id_order: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_entities(self) -> int:
@@ -125,7 +150,7 @@ class MmapPair:
     def resolve_entity(self, entity_id: str) -> int | None:
         """Map a catalog id (or bare index string) to an entity index."""
         if self.ids_sorted is not None:
-            pos = _searchsorted_last(self.ids_sorted, entity_id)
+            pos = _find_last(self.ids_sorted, entity_id)
             if pos >= 0:
                 return int(self.id_order[pos])
         if entity_id.isdigit():
@@ -137,14 +162,15 @@ class MmapPair:
     def entity_label(self, entity: int) -> str:
         """Catalog id for an entity index (falls back to the index)."""
         if self.entity_ids is not None:
-            return _text(self.entity_ids[entity])
+            return self.entity_ids[entity].decode("utf-8")
         return str(entity)
 
-    def entity_labels(self, entities) -> list[str]:
+    def entity_labels(self, entities: Any) -> list[str]:
         """Labels for an iterable of entity indices, in input order."""
+        indices = np.asarray(entities, dtype=np.intp)
         if self.entity_ids is not None:
-            return [_text(self.entity_ids[int(e)]) for e in entities]
-        return [str(int(e)) for e in entities]
+            return unpack_texts(self.entity_ids[indices])
+        return [str(entity) for entity in indices.tolist()]
 
     def sites_of_entity(self, entity: int) -> np.ndarray:
         """Site indices mentioning ``entity`` (ascending)."""
@@ -159,36 +185,35 @@ class MmapPair:
     def site_page(self, site: int, offset: int, count: int):
         """``(total, page)`` slice of a site's listing.
 
-        Slicing the memmap view is lazy, so only the page's rows are
-        actually faulted in — the whole point of this tier.
+        Under ``mmap`` the slice is a lazy view of the map, so only the
+        page's rows are faulted in.
         """
         begin = int(self.site_ptr[site])
         end = int(self.site_ptr[site + 1])
-        total = end - begin
         page = self.entity_idx[begin + offset : min(begin + offset + count, end)]
-        return total, page
+        return end - begin, page
 
     def entity_site_hosts(self, entity: int) -> list[str]:
         """Hosts of an entity's sites, in ascending site order."""
-        return self.site_hosts(self.sites_of_entity(entity))
+        return unpack_texts(self.hosts[self.sites_of_entity(entity)])
 
     def site_host(self, site: int) -> str:
         """Host name for a site index."""
-        return _text(self.hosts[site])
+        return self.hosts[site].decode("utf-8")
 
-    def site_hosts(self, sites) -> list[str]:
+    def site_hosts(self, sites: Any) -> list[str]:
         """Hosts for an iterable of site indices, in input order."""
-        return [_text(self.hosts[int(s)]) for s in sites]
+        return unpack_texts(self.hosts[np.asarray(sites, dtype=np.intp)])
 
     def site_of_host(self, host: str) -> int | None:
         """Site index for a host name, or None when unknown."""
-        pos = _searchsorted_last(self.hosts_sorted, host)
+        pos = _find_last(self.hosts_sorted, host)
         if pos < 0:
             return None
         return int(self.host_order[pos])
 
     def coverage_at(self, k: int, top_t: int) -> float:
-        """k-coverage of the top-``top_t`` sites, from the mapped table.
+        """k-coverage of the top-``top_t`` sites, from the dense table.
 
         Raises:
             KeyError: ``k`` was not precomputed (outside the config ks).
@@ -199,43 +224,36 @@ class MmapPair:
         return float(self.coverage[row, top_t - 1])
 
     def set_cover(self, budget: int) -> dict[str, object]:
-        """Bounded greedy set cover over the mapped CSR."""
+        """Bounded greedy set cover over the CSR arrays."""
         view = CsrView(self.n_entities, self.site_ptr, self.entity_idx)
         return run_set_cover(view, self.site_host, budget)
 
 
-def open_mmap_pairs(
-    artifacts: StoreArtifacts,
-) -> tuple[dict[tuple[str, str], MmapPair], dict[str, Any]]:
-    """Map every pair blob of a compiled store; demand rides along."""
-    pairs: dict[tuple[str, str], MmapPair] = {}
+# The benchmark's per-layer tracer (perfbench/layers.py) imports the
+# mmap tier's pair class by this name and patches its methods; both
+# array residencies answer through ArrayPair, so the name is bound to it.
+MmapPair = ArrayPair
+
+
+def open_array_pairs(
+    artifacts: StoreArtifacts, resident: bool
+) -> tuple[dict[tuple[str, str], ArrayPair], dict[str, Any]]:
+    """Open every pair of a compiled store, loaded whole or mapped.
+
+    ``resident`` loads each blob into memory (the ``ram`` tier; an
+    unpublished store from ``materialize_store`` is already there);
+    otherwise each published blob is memory-mapped (``mmap``).  Demand
+    tables ride along.
+    """
+    load = _resident if resident else _mapped
+    pairs: dict[tuple[str, str], ArrayPair] = {}
     for row in artifacts.meta["pairs"]:
-        domain, attribute = row["domain"], row["attribute"]
-        blobs = artifacts.pair_blobs[(domain, attribute)]
-
-        def mapped(name: str, blobs=blobs) -> np.ndarray:
-            array = _advise_random(
-                np.load(blobs[name], mmap_mode="r", allow_pickle=False)
-            )
-            _drop_page_cache(blobs[name])
-            return array
-
-        has_ids = bool(row["has_ids"])
-        pairs[(domain, attribute)] = MmapPair(
-            domain=domain,
-            attribute=attribute,
+        key = (row["domain"], row["attribute"])
+        pairs[key] = ArrayPair(
+            domain=row["domain"],
+            attribute=row["attribute"],
             coverage_ks=tuple(int(k) for k in row["ks"]),
             top_hosts=tuple(row["top_hosts"]),
-            site_ptr=mapped("site_ptr"),
-            entity_idx=mapped("entity_idx"),
-            entity_ptr=mapped("entity_ptr"),
-            entity_sites=mapped("entity_sites"),
-            coverage=mapped("coverage"),
-            hosts=mapped("hosts"),
-            hosts_sorted=mapped("hosts_sorted"),
-            host_order=mapped("host_order"),
-            entity_ids=mapped("entity_ids") if has_ids else None,
-            ids_sorted=mapped("ids_sorted") if has_ids else None,
-            id_order=mapped("id_order") if has_ids else None,
+            **{name: load(blob) for name, blob in artifacts.pair_blobs[key].items()},
         )
     return pairs, dict(artifacts.demand)

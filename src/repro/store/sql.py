@@ -1,14 +1,17 @@
 """SQLite pair backend: adjacency and coverage queries pushed into SQL.
 
-The compiled store (:mod:`repro.store.compile`) integer-encodes
-entities and sites, stores the paper's size-rank order per site, and
-pre-derives ``kcov`` rows — the rank of each entity's k-th mention —
-with a window-function query.  At query time everything is covered
-index lookups:
+The image is compiled from the array store (:mod:`repro.store.compile`)
+the first time a ``sqlite`` tier opens it (:func:`compile_sqlite`), then
+published under ``store_blob_key(identity, "sqlite")`` and
+digest-verified on read-back like every other store blob; later opens
+reuse it.  The compiler integer-encodes entities and sites, stores the
+paper's size-rank order per site, and pre-derives ``kcov`` rows — the
+rank of each entity's k-th mention — with a window-function query.  At
+query time everything is covered index lookups:
 
 - entity → sites and site → entities walk ``edges`` through its two
   covering indices (insertion order preserved via the ``pos`` column,
-  so pagination cursors match the RAM CSR byte-for-byte);
+  so pagination cursors match the array CSR byte-for-byte);
 - coverage-at-k is a single ``COUNT(*)`` over ``kcov`` divided by the
   entity denominator in Python (int/int → float64, bit-identical to
   the precomputed dense table);
@@ -35,11 +38,100 @@ from typing import Any
 
 import numpy as np
 
+from repro.perf.cache import ArtifactCache
 from repro.store.backend import check_top_t, coverage_row, run_set_cover
-from repro.store.compile import StoreArtifacts
+from repro.store.compile import (
+    STORE_FORMAT,
+    StoreArtifacts,
+    load_blob,
+    store_blob_key,
+    unpack_texts,
+)
 from repro.store.demand import query_bin_center
 
-__all__ = ["SqlitePair", "SqliteDemandTable", "SqliteStore", "open_sqlite_pairs"]
+__all__ = [
+    "SqliteDemandTable",
+    "SqlitePair",
+    "SqliteStore",
+    "compile_sqlite",
+    "open_sqlite_pairs",
+]
+
+_SCHEMA = """
+CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE pairs(
+    pair_id INTEGER PRIMARY KEY,
+    domain TEXT NOT NULL,
+    attribute TEXT NOT NULL,
+    n_entities INTEGER NOT NULL,
+    n_sites INTEGER NOT NULL,
+    ks TEXT NOT NULL,
+    top_hosts TEXT NOT NULL,
+    has_ids INTEGER NOT NULL
+);
+CREATE TABLE sites(
+    pair_id INTEGER NOT NULL,
+    site INTEGER NOT NULL,
+    host TEXT NOT NULL,
+    size INTEGER NOT NULL,
+    site_rank INTEGER NOT NULL,
+    PRIMARY KEY (pair_id, site)
+) WITHOUT ROWID;
+CREATE INDEX sites_by_host ON sites(pair_id, host, site);
+CREATE TABLE entities(
+    pair_id INTEGER NOT NULL,
+    entity INTEGER NOT NULL,
+    label TEXT NOT NULL,
+    PRIMARY KEY (pair_id, entity)
+) WITHOUT ROWID;
+CREATE INDEX entities_by_label ON entities(pair_id, label, entity);
+CREATE TABLE edges(
+    pair_id INTEGER NOT NULL,
+    site INTEGER NOT NULL,
+    pos INTEGER NOT NULL,
+    entity INTEGER NOT NULL,
+    PRIMARY KEY (pair_id, site, pos)
+) WITHOUT ROWID;
+CREATE INDEX edges_by_entity ON edges(pair_id, entity, site);
+CREATE TABLE kcov(
+    pair_id INTEGER NOT NULL,
+    k INTEGER NOT NULL,
+    first_rank INTEGER NOT NULL
+);
+CREATE INDEX kcov_by_rank ON kcov(pair_id, k, first_rank);
+CREATE TABLE demand_bins(
+    site TEXT NOT NULL,
+    source TEXT NOT NULL,
+    idx INTEGER NOT NULL,
+    center REAL NOT NULL,
+    mean REAL NOT NULL,
+    PRIMARY KEY (site, source, idx)
+) WITHOUT ROWID;
+CREATE TABLE demand_meta(
+    site TEXT PRIMARY KEY,
+    sources TEXT NOT NULL,
+    max_reviews INTEGER NOT NULL
+);
+CREATE TABLE ks_seq(k INTEGER PRIMARY KEY);
+"""
+
+# The k-th smallest size-rank among each entity's sites: entity e
+# counts toward coverage(k, t) iff its k-th mention (in the paper's
+# size-ranked site order) sits at rank <= t.  ROW_NUMBER is
+# deterministic here because site_rank is a strict permutation.
+_KCOV_FILL = """
+INSERT INTO kcov(pair_id, k, first_rank)
+SELECT pair_id, occ, site_rank FROM (
+    SELECT e.pair_id AS pair_id,
+           ROW_NUMBER() OVER (
+               PARTITION BY e.pair_id, e.entity ORDER BY s.site_rank
+           ) AS occ,
+           s.site_rank AS site_rank
+    FROM edges AS e
+    JOIN sites AS s ON s.pair_id = e.pair_id AND s.site = e.site
+)
+WHERE occ IN (SELECT k FROM ks_seq)
+"""
 
 #: Fixed fan-in for batched label/host lookups.  STORE001 demands
 #: constant statements, so the ``IN`` list carries a fixed placeholder
@@ -319,11 +411,136 @@ class SqliteDemandTable:
         }
 
 
+def _write_sqlite(tmp: Path, artifacts: StoreArtifacts) -> None:
+    """Write the full SQL tier into ``tmp`` from the store's array blobs."""
+    conn = sqlite3.connect(tmp)
+    try:
+        conn.execute("PRAGMA journal_mode=OFF")
+        conn.execute("PRAGMA synchronous=OFF")
+        conn.executescript(_SCHEMA)
+        conn.executemany(
+            "INSERT INTO meta(key, value) VALUES (?, ?)",
+            [("format", STORE_FORMAT)],
+        )
+        ks: list[int] = []
+        for pair_id, row in enumerate(artifacts.meta["pairs"]):
+            ks = row["ks"]  # one config => identical ks across pairs
+            blobs = artifacts.pair_blobs[(row["domain"], row["attribute"])]
+            n_entities, n_sites = row["n_entities"], row["n_sites"]
+            conn.execute(
+                "INSERT INTO pairs(pair_id, domain, attribute, n_entities,"
+                " n_sites, ks, top_hosts, has_ids)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (
+                    pair_id,
+                    row["domain"],
+                    row["attribute"],
+                    n_entities,
+                    n_sites,
+                    json.dumps(row["ks"]),
+                    json.dumps(row["top_hosts"]),
+                    int(row["has_ids"]),
+                ),
+            )
+            site_ptr = load_blob(blobs["site_ptr"]).astype(np.int64)
+            sizes = np.diff(site_ptr)
+            # The paper's size ranking, ties by site index (as
+            # BipartiteIncidence.sites_by_size orders them).
+            ranked = np.lexsort((np.arange(n_sites), -sizes))
+            rank_of = np.empty(n_sites, dtype=np.int64)
+            rank_of[ranked] = np.arange(1, n_sites + 1, dtype=np.int64)
+            conn.executemany(
+                "INSERT INTO sites(pair_id, site, host, size, site_rank)"
+                " VALUES (?, ?, ?, ?, ?)",
+                zip(
+                    (pair_id,) * n_sites,
+                    range(n_sites),
+                    unpack_texts(load_blob(blobs["hosts"])),
+                    sizes.tolist(),
+                    rank_of.tolist(),
+                ),
+            )
+            if row["has_ids"]:
+                conn.executemany(
+                    "INSERT INTO entities(pair_id, entity, label)"
+                    " VALUES (?, ?, ?)",
+                    zip(
+                        (pair_id,) * n_entities,
+                        range(n_entities),
+                        unpack_texts(load_blob(blobs["entity_ids"])),
+                    ),
+                )
+            entity_idx = load_blob(blobs["entity_idx"])
+            n_edges = len(entity_idx)
+            site_per_edge = np.repeat(np.arange(n_sites, dtype=np.int64), sizes)
+            pos_per_edge = np.arange(n_edges, dtype=np.int64) - np.repeat(
+                site_ptr[:-1], sizes
+            )
+            conn.executemany(
+                "INSERT INTO edges(pair_id, site, pos, entity)"
+                " VALUES (?, ?, ?, ?)",
+                zip(
+                    (pair_id,) * n_edges,
+                    site_per_edge.tolist(),
+                    pos_per_edge.tolist(),
+                    entity_idx.tolist(),
+                ),
+            )
+        conn.executemany(
+            "INSERT INTO ks_seq(k) VALUES (?)", [(int(k),) for k in ks]
+        )
+        conn.execute(_KCOV_FILL)
+        for row in artifacts.meta["demand"]:
+            site = row["site"]
+            conn.execute(
+                "INSERT INTO demand_meta(site, sources, max_reviews)"
+                " VALUES (?, ?, ?)",
+                (site, json.dumps(row["sources"]), row["max_reviews"]),
+            )
+            for source in row["sources"]:
+                counts, means = artifacts.demand[site].sources[source]
+                conn.executemany(
+                    "INSERT INTO demand_bins(site, source, idx, center, mean)"
+                    " VALUES (?, ?, ?, ?, ?)",
+                    zip(
+                        (site,) * len(counts),
+                        (source,) * len(counts),
+                        range(len(counts)),
+                        counts.tolist(),
+                        means.tolist(),
+                    ),
+                )
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def compile_sqlite(artifacts: StoreArtifacts, cache: ArtifactCache) -> Path:
+    """Verified path of the store's SQLite image, compiled on first use.
+
+    Raises:
+        RuntimeError: The freshly published image failed digest
+            verification (e.g. an injected corruption fault).
+    """
+    key = store_blob_key(artifacts.identity, "sqlite")
+    path = cache.get_file(key, ".sqlite")
+    if path is None:
+        cache.put_file(key, ".sqlite", lambda tmp: _write_sqlite(tmp, artifacts))
+        path = cache.get_file(key, ".sqlite")
+        if path is None:
+            raise RuntimeError(
+                f"sqlite compile for identity {artifacts.identity} failed "
+                "read-back verification (blob quarantined); refusing to "
+                "serve a torn store"
+            )
+    return path
+
+
 def open_sqlite_pairs(
-    artifacts: StoreArtifacts,
+    artifacts: StoreArtifacts, cache: ArtifactCache
 ) -> tuple[dict[tuple[str, str], SqlitePair], dict[str, Any]]:
     """Open the SQL tier of a compiled store (pairs and demand tables)."""
-    store = SqliteStore(artifacts.sqlite_path)
+    store = SqliteStore(compile_sqlite(artifacts, cache))
     pairs: dict[tuple[str, str], SqlitePair] = {}
     for row in store.query(
         "SELECT pair_id, domain, attribute, n_entities, n_sites, ks,"

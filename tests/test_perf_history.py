@@ -199,6 +199,29 @@ def test_collect_extracts_backend_ladder_rss_and_headline(tmp_path):
     assert "ram=812.4 mmap=301.2 sqlite=120.9" in table
 
 
+def test_collect_summarises_paired_end_to_end_runs(tmp_path):
+    payload = {
+        "benchmark": "perfbench paired runs",
+        "claimed_metric": "setup_s",
+        "paired": {
+            "serve-hot": {
+                "setup_s": {
+                    "parent_median": 1.4,
+                    "change_median": 0.6,
+                    "wins": 10,
+                    "pairs": 10,
+                }
+            },
+            "serve-cold": {"p50_ms.lo": {"parent_median": 0.5}},
+        },
+    }
+    (tmp_path / "BENCH_PR14.json").write_text(json.dumps(payload))
+    (row,) = collect_bench_rows(tmp_path)
+    assert row["headline"] == (
+        "serve-hot setup_s 1.4 -> 0.6 (better in 10/10 pairs)"
+    )
+
+
 def test_reports_without_rss_render_a_dash(tmp_path):
     _write_reports(tmp_path)
     rows = collect_bench_rows(tmp_path)

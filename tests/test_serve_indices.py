@@ -1,4 +1,7 @@
-"""repro.serve.indices: CSR parity, coverage tables, manifest round-trip."""
+"""repro.serve.indices: CSR parity, coverage tables, manifest round-trip.
+
+The ram and mmap tiers are checked against the pipeline's incidence,
+built here independently of the compiled store they share."""
 
 from __future__ import annotations
 
@@ -9,7 +12,11 @@ import pytest
 
 from repro.core.coverage import k_coverage_curves
 from repro.core.graph import EntitySiteGraph
+from repro.core.incidence import BipartiteIncidence
+from repro.core.setcover import greedy_set_cover
+from repro.perf import ArtifactCache, configure_cache
 from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.experiments import spread_incidence
 from repro.pipeline.runall import MANIFEST_NAME, write_manifest
 from repro.serve.indices import Manifest, build_index, load_manifest
 
@@ -28,6 +35,28 @@ def index():
     return build_index(MANIFEST)
 
 
+@pytest.fixture(scope="module")
+def incidences():
+    """Each pair's incidence, straight from the pipeline."""
+    return {
+        (domain, attribute): spread_incidence(domain, attribute, CONFIG)
+        for domain, attribute in MANIFEST.spread_pairs
+    }
+
+
+@pytest.fixture(scope="module")
+def tiers(index, tmp_path_factory):
+    """The ram index (compiled in memory) and the mmap tier over a
+    published store."""
+    previous = configure_cache(
+        ArtifactCache(directory=tmp_path_factory.mktemp("store-cache"))
+    )
+    try:
+        return {"ram": index, "mmap": build_index(MANIFEST, backend="mmap")}
+    finally:
+        configure_cache(previous)
+
+
 def test_index_shape(index):
     assert set(index.pairs) == {("restaurants", "phone"), ("books", "isbn")}
     assert index.default_attribute == {"restaurants": "phone", "books": "isbn"}
@@ -35,21 +64,24 @@ def test_index_shape(index):
     assert index.build_seconds > 0
 
 
-def test_transpose_matches_graph_neighbors(index):
+def test_transpose_matches_graph_neighbors(tiers, incidences):
     """entity→sites CSR must agree with EntitySiteGraph adjacency.
 
     Graph node ids put site ``s`` at ``n_entities + s``, so the graph's
     neighbour list for an entity is exactly the transpose row shifted.
     """
-    for pair in index.pairs.values():
-        graph = EntitySiteGraph(pair.incidence)
-        for entity in range(pair.n_entities):
-            sites = pair.sites_of_entity(entity)
-            assert np.array_equal(
-                sites + pair.n_entities, graph.neighbors(entity)
-            )
-            # Ascending site order is part of the response contract.
-            assert np.all(np.diff(sites) >= 0)
+    for key, incidence in incidences.items():
+        graph = EntitySiteGraph(incidence)
+        for tier in tiers.values():
+            pair = tier.pairs[key]
+            assert pair.n_entities == incidence.n_entities
+            for entity in range(pair.n_entities):
+                sites = pair.sites_of_entity(entity)
+                assert np.array_equal(
+                    sites + pair.n_entities, graph.neighbors(entity)
+                )
+                # Ascending site order is part of the response contract.
+                assert np.all(np.diff(sites) >= 0)
 
 
 def test_entity_site_round_trip(index):
@@ -59,15 +91,86 @@ def test_entity_site_round_trip(index):
             assert entity in pair.entities_on_site(int(site))
 
 
-def test_coverage_table_matches_direct_curves(index):
-    pair = index.pairs[("restaurants", "phone")]
-    checkpoints = np.asarray([1, pair.n_sites // 2, pair.n_sites])
-    direct = k_coverage_curves(pair.incidence, ks=CONFIG.ks, checkpoints=checkpoints)
-    for row, k in enumerate(CONFIG.ks):
-        for col, t in enumerate(checkpoints):
-            assert pair.coverage_at(k, int(t)) == pytest.approx(
-                float(direct.coverage[row, col])
-            )
+def test_coverage_table_matches_direct_curves(tiers, incidences):
+    incidence = incidences[("restaurants", "phone")]
+    checkpoints = np.asarray([1, incidence.n_sites // 2, incidence.n_sites])
+    direct = k_coverage_curves(incidence, ks=CONFIG.ks, checkpoints=checkpoints)
+    for tier in tiers.values():
+        pair = tier.pairs[("restaurants", "phone")]
+        for row, k in enumerate(CONFIG.ks):
+            for col, t in enumerate(checkpoints):
+                assert pair.coverage_at(k, int(t)) == pytest.approx(
+                    float(direct.coverage[row, col])
+                )
+
+
+def test_hosts_and_labels_match_the_incidence(tiers, incidences):
+    """String columns and their resolution, against the incidence's own
+    host list and catalog ids (the last duplicate wins)."""
+    for key, incidence in incidences.items():
+        last_site = {host: s for s, host in enumerate(incidence.site_hosts)}
+        ids = incidence.entity_ids
+        last_entity = {label: e for e, label in enumerate(ids or ())}
+        for tier in tiers.values():
+            pair = tier.pairs[key]
+            everything = np.arange(pair.n_sites)
+            assert pair.site_hosts(everything) == list(incidence.site_hosts)
+            for host, site in last_site.items():
+                assert pair.site_of_host(host) == site
+            assert pair.site_of_host("no-such-host.example") is None
+            entities = np.arange(pair.n_entities)
+            expected = ids if ids is not None else [str(e) for e in entities]
+            assert pair.entity_labels(entities) == list(expected)
+            for label, entity in last_entity.items():
+                assert pair.resolve_entity(label) == entity
+
+
+def test_duplicate_keys_resolve_last_and_labels_decode(tmp_path, monkeypatch):
+    """Catalog ids and hosts with duplicates and non-ASCII text: every
+    array residency resolves the last duplicate, like a dict would."""
+    import repro.pipeline.experiments as experiments
+
+    incidence = BipartiteIncidence.from_site_lists(
+        n_entities=4,
+        sites=[("a.example", [0, 1]), ("b.example", [1, 2]), ("a.example", [3])],
+        entity_ids=["x", "\u00fc-1", "x", "z"],
+    )
+    monkeypatch.setattr(experiments, "spread_incidence", lambda *args: incidence)
+    manifest = Manifest(
+        config=CONFIG,
+        spread_pairs=(("synthetic", "ids"),),
+        traffic_sites=(),
+        artifacts=(),
+    )
+    uncached = build_index(manifest, backend="ram")
+    previous = configure_cache(ArtifactCache(directory=tmp_path / "cache"))
+    try:
+        opened = [build_index(manifest, backend=tier) for tier in ("ram", "mmap")]
+    finally:
+        configure_cache(previous)
+    for index in (uncached, *opened):
+        pair = index.pairs[("synthetic", "ids")]
+        assert pair.site_of_host("a.example") == 2
+        assert pair.site_of_host("b.example") == 1
+        assert pair.resolve_entity("x") == 2
+        assert pair.resolve_entity("\u00fc-1") == 1
+        assert pair.resolve_entity("3") == 3
+        assert pair.entity_label(1) == "\u00fc-1"
+        assert pair.entity_labels([3, 1, 0]) == ["z", "\u00fc-1", "x"]
+        assert pair.entity_site_hosts(1) == ["a.example", "b.example"]
+        assert pair.site_hosts([2, 0]) == ["a.example", "a.example"]
+
+
+def test_set_cover_matches_greedy_on_the_incidence(tiers, incidences):
+    for key, incidence in incidences.items():
+        for budget in (1, 5, incidence.n_sites):
+            order, gains = greedy_set_cover(incidence, max_sites=budget)
+            for tier in tiers.values():
+                result = tier.pairs[key].set_cover(budget)
+                assert result["selected"] == [
+                    incidence.site_hosts[int(s)] for s in order
+                ]
+                assert result["gains"] == gains.tolist()
 
 
 def test_coverage_param_validation(index):

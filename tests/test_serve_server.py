@@ -72,9 +72,7 @@ def test_entity_endpoint_matches_index(app, index):
     assert status == 200
     assert payload["entity_index"] == 5
     assert payload["entity"] == pair.entity_label(5)
-    expected = [
-        pair.incidence.site_hosts[int(s)] for s in pair.sites_of_entity(5)
-    ]
+    expected = [pair.site_host(int(s)) for s in pair.sites_of_entity(5)]
     assert payload["sites"] == expected
     assert payload["n_sites"] == len(expected)
     # Catalog-id addressing resolves to the same response.
@@ -84,7 +82,7 @@ def test_entity_endpoint_matches_index(app, index):
 
 def test_site_endpoint_lists_entities(app, index):
     pair = index.pairs[("restaurants", "phone")]
-    host = pair.incidence.site_hosts[0]
+    host = pair.site_host(0)
     status, payload = get(app, f"/v1/site/{host}/entities")
     assert status == 200
     (match,) = payload["matches"]
@@ -184,7 +182,7 @@ def test_responses_byte_identical_with_and_without_rcache(index):
         ServeSettings(deadline_seconds=FAST_DEADLINE, response_cache_entries=0),
     )
     assert uncached.rcache is None
-    host = index.pairs[("restaurants", "phone")].incidence.site_hosts[1]
+    host = index.pairs[("restaurants", "phone")].site_host(1)
     try:
         for template in PROBE_PATHS:
             path = template.format(host=host)

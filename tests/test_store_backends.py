@@ -1,5 +1,9 @@
 """repro.store: tiered backends must be byte-identical behind the serve
-contract — same endpoints, same bodies, same errors, same cursors."""
+contract — same endpoints, same bodies, same errors, same cursors.
+
+Every tier is diffed against an independent reference built straight
+from the pipeline's incidence (``tests/reference_index.py``), since the
+tiers share one compiled store."""
 
 from __future__ import annotations
 
@@ -21,6 +25,8 @@ from repro.store import (
     open_backend,
     store_blob_key,
 )
+from repro.store.compile import PAIR_ID_MEMBERS, PAIR_MEMBERS
+from tests.reference_index import reference_index
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
 MANIFEST = Manifest(
@@ -42,11 +48,15 @@ def no_faults(monkeypatch):
 
 @pytest.fixture(scope="module")
 def apps(tmp_path_factory):
-    """One ServeApp per tier, sharing a module-scoped artifact cache."""
+    """One ServeApp per tier plus the reference, sharing a module-scoped
+    artifact cache."""
     cache_dir = tmp_path_factory.mktemp("store-cache")
     previous = configure_cache(ArtifactCache(directory=cache_dir))
     built = {}
     try:
+        built["reference"] = ServeApp(
+            reference_index(MANIFEST), ServeSettings(response_cache_entries=0)
+        )
         for tier in TIERS:
             built[tier] = ServeApp(
                 build_index(MANIFEST, backend=tier),
@@ -60,9 +70,10 @@ def apps(tmp_path_factory):
 
 
 def everywhere(apps, path):
-    """One request against every tier; asserts byte-identity, returns one."""
+    """One request against every tier; asserts byte-identity with the
+    reference, returns its answer."""
+    baseline = apps["reference"].handle(path)
     results = {tier: apps[tier].handle(path) for tier in TIERS}
-    baseline = results["ram"]
     for tier, result in results.items():
         assert result == baseline, (path, tier, result, baseline)
     return baseline
@@ -81,7 +92,7 @@ def test_all_tiers_share_the_manifest_identity(apps):
 def test_summaries_are_byte_identical(apps):
     payloads = {
         tier: json.dumps(apps[tier].index.summary(), sort_keys=True)
-        for tier in TIERS
+        for tier in (*TIERS, "reference")
     }
     assert len(set(payloads.values())) == 1
     # The healthz payload must not leak which tier answered.
@@ -98,7 +109,7 @@ def test_metrics_reports_the_backend(apps):
 
 
 def test_probe_paths_are_byte_identical(apps):
-    pair = apps["ram"].index.pairs[("restaurants", "phone")]
+    pair = apps["reference"].index.pairs[("restaurants", "phone")]
     host = pair.top_hosts[0]
     probes = [
         "/healthz",
@@ -129,7 +140,7 @@ def test_probe_paths_are_byte_identical(apps):
 
 
 def test_exhaustive_entity_and_site_sweep(apps):
-    pair = apps["ram"].index.pairs[("restaurants", "phone")]
+    pair = apps["reference"].index.pairs[("restaurants", "phone")]
     for entity in range(pair.n_entities):
         label = pair.entity_label(entity)
         everywhere(apps, f"/v1/entity/restaurants/{entity}/sites")
@@ -140,44 +151,77 @@ def test_exhaustive_entity_and_site_sweep(apps):
 
 
 def test_coverage_grid_is_byte_identical(apps):
-    pair = apps["ram"].index.pairs[("restaurants", "phone")]
+    pair = apps["reference"].index.pairs[("restaurants", "phone")]
     for k in range(0, max(pair.coverage_ks) + 2):
         for t in (0, 1, 2, 5, pair.n_sites, pair.n_sites + 1):
             everywhere(apps, f"/v1/coverage/restaurants?k={k}&t={t}")
 
 
-def test_seeded_request_stream_is_byte_identical(apps):
-    """A seeded mixed-endpoint stream: the differential property test."""
-    pair = apps["ram"].index.pairs[("restaurants", "phone")]
+def seeded_stream(pair, seed: int = 1729, count: int = 400):
+    """A seeded mixed-endpoint request stream over one pair's shape."""
     hosts = list(pair.top_hosts) + ["unknown.example"]
     sources = ["search", "browse", "bogus"]
-    rng = np.random.default_rng(1729)
-    for __ in range(400):
+    rng = np.random.default_rng(seed)
+    for __ in range(count):
         kind = int(rng.integers(0, 5))
         if kind == 0:
             entity = int(rng.integers(0, pair.n_entities + 3))
-            path = f"/v1/entity/restaurants/{entity}/sites"
+            yield f"/v1/entity/restaurants/{entity}/sites"
         elif kind == 1:
             host = hosts[int(rng.integers(0, len(hosts)))]
             limit = int(rng.integers(1, 8))
-            path = f"/v1/site/{host}/entities?limit={limit}"
+            yield f"/v1/site/{host}/entities?limit={limit}"
         elif kind == 2:
             k = int(rng.integers(0, 14))
             t = int(rng.integers(0, pair.n_sites + 2))
-            path = f"/v1/coverage/restaurants?k={k}&t={t}"
+            yield f"/v1/coverage/restaurants?k={k}&t={t}"
         elif kind == 3:
             reviews = int(rng.integers(0, 40))
             source = sources[int(rng.integers(0, len(sources)))]
-            path = f"/v1/demand/imdb?reviews={reviews}&source={source}"
+            yield f"/v1/demand/imdb?reviews={reviews}&source={source}"
         else:
             budget = int(rng.integers(0, 12))
-            path = f"/v1/setcover/restaurants?budget={budget}"
+            yield f"/v1/setcover/restaurants?budget={budget}"
+
+
+def test_seeded_request_stream_is_byte_identical(apps):
+    """A seeded mixed-endpoint stream: the differential property test."""
+    pair = apps["reference"].index.pairs[("restaurants", "phone")]
+    for path in seeded_stream(pair):
         everywhere(apps, path)
+
+
+def test_uncached_ram_index_matches_the_cached_one(apps):
+    """Without a cache the ram tier compiles the same packed arrays in
+    memory, publishes nothing, and answers byte for byte the same."""
+    previous = configure_cache(None)
+    try:
+        uncached = ServeApp(
+            build_index(MANIFEST, backend="ram"),
+            ServeSettings(response_cache_entries=0),
+        )
+    finally:
+        configure_cache(previous)
+    try:
+        cached_pair = apps["ram"].index.pairs[("restaurants", "phone")]
+        uncached_pair = uncached.index.pairs[("restaurants", "phone")]
+        for name in PAIR_MEMBERS + PAIR_ID_MEMBERS:
+            cached, fresh = getattr(cached_pair, name), getattr(uncached_pair, name)
+            if cached is None:
+                assert fresh is None, name
+                continue
+            assert cached.dtype == fresh.dtype, name
+            assert np.array_equal(cached, fresh), name
+        assert uncached.index.summary() == apps["ram"].index.summary()
+        for path in seeded_stream(cached_pair):
+            assert uncached.handle(path) == apps["ram"].handle(path), path
+    finally:
+        uncached.close()
 
 
 def test_pagination_cursor_chains_match(apps):
     """Walk the full cursor chain per tier; every page byte-identical."""
-    pair = apps["ram"].index.pairs[("restaurants", "phone")]
+    pair = apps["reference"].index.pairs[("restaurants", "phone")]
     ranked = pair.incidence.sites_by_size()
     host = pair.site_host(int(ranked[0]))  # the largest site: most pages
     path = f"/v1/site/{host}/entities?limit=2"
@@ -241,10 +285,66 @@ def test_build_store_is_idempotent_and_cache_warm(tmp_path):
         cold = build_store(MANIFEST)
         warm = build_store(MANIFEST)
         assert cold.identity == warm.identity == manifest_identity(MANIFEST)
-        assert cold.sqlite_path == warm.sqlite_path
         assert cold.pair_blobs.keys() == warm.pair_blobs.keys()
         for pair, blobs in cold.pair_blobs.items():
             assert blobs == warm.pair_blobs[pair]
+    finally:
+        configure_cache(previous)
+
+
+def test_ram_open_publishes_the_array_store_and_no_sqlite_image(tmp_path):
+    cache = ArtifactCache(directory=tmp_path / "cache")
+    previous = configure_cache(cache)
+    try:
+        index = build_index(MANIFEST, backend="ram")
+    finally:
+        configure_cache(previous)
+    identity = manifest_identity(MANIFEST)
+    assert index.backend == "ram"
+    assert cache.get_records(store_blob_key(identity, "meta"))
+    site_ptr = store_blob_key(identity, "pair/restaurants/phone/site_ptr")
+    assert cache.get_file(site_ptr, ".npy") is not None
+    assert cache.get_file(store_blob_key(identity, "sqlite"), ".sqlite") is None
+    assert not list(cache.directory.rglob("*.sqlite"))
+
+
+def test_ram_over_a_bounded_cache_compiles_in_memory(apps, tmp_path):
+    """A budget smaller than the store would evict its blobs mid-publish;
+    the ram tier must still open, publish no store, and answer the same."""
+    cache = ArtifactCache(directory=tmp_path / "cache", max_bytes=1)
+    previous = configure_cache(cache)
+    try:
+        app = ServeApp(
+            build_index(MANIFEST, backend="ram"),
+            ServeSettings(response_cache_entries=0),
+        )
+    finally:
+        configure_cache(previous)
+    try:
+        identity = manifest_identity(MANIFEST)
+        assert cache.get_records(store_blob_key(identity, "meta")) is None
+        pair = apps["reference"].index.pairs[("restaurants", "phone")]
+        for path in seeded_stream(pair, count=100):
+            assert app.handle(path) == apps["ram"].handle(path), path
+    finally:
+        app.close()
+
+
+def test_first_sqlite_open_compiles_the_image_once(tmp_path):
+    cache = ArtifactCache(directory=tmp_path / "cache")
+    previous = configure_cache(cache)
+    try:
+        build_store(MANIFEST)
+        assert not list(cache.directory.rglob("*.sqlite"))
+        puts = cache.stats.puts
+        build_index(MANIFEST, backend="sqlite")
+        assert cache.stats.puts == puts + 1
+        key = store_blob_key(manifest_identity(MANIFEST), "sqlite")
+        assert cache.get_file(key, ".sqlite") is not None
+        puts = cache.stats.puts
+        again = build_index(MANIFEST, backend="sqlite")
+        assert cache.stats.puts == puts
+        assert again.backend == "sqlite"
     finally:
         configure_cache(previous)
 

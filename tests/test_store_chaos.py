@@ -58,9 +58,16 @@ def sqlite_builder(manifest):
     return build_index(manifest, backend="sqlite")
 
 
+def ram_builder(manifest):
+    """The builder the CLI binds for ``--backend ram``."""
+    return build_index(manifest, backend="ram")
+
+
 @pytest.fixture()
-def chaos_env(tmp_path):
-    """A sqlite-backed app + watcher over its own artifact cache."""
+def chaos_env(tmp_path, request):
+    """An app + watcher over its own artifact cache (sqlite-backed
+    unless the test parametrizes the builder)."""
+    builder = getattr(request, "param", sqlite_builder)
     previous = configure_cache(
         ArtifactCache(directory=tmp_path / "cache")
     )
@@ -68,10 +75,10 @@ def chaos_env(tmp_path):
     run.mkdir()
     manifest_path = write_run(run, seed=0)
     app = ServeApp(
-        sqlite_builder(load_manifest(run)),
+        builder(load_manifest(run)),
         ServeSettings(response_cache_entries=0),
     )
-    watcher = ManifestWatcher(run, app, 30.0, builder=sqlite_builder)
+    watcher = ManifestWatcher(run, app, 30.0, builder=builder)
     try:
         yield run, manifest_path, app, watcher
     finally:
@@ -79,12 +86,18 @@ def chaos_env(tmp_path):
         configure_cache(previous)
 
 
+@pytest.mark.parametrize(
+    "chaos_env", [ram_builder, sqlite_builder], ids=["ram", "sqlite"], indirect=True
+)
 def test_corrupted_store_compile_keeps_the_old_epoch(
     chaos_env, monkeypatch
 ):
+    """Both tiers that reload through the store's digest read-back: a
+    corrupted compile must fail the reload, not swap in torn data."""
     run, manifest_path, app, watcher = chaos_env
     before = {path: app.handle(path) for path in PROBES}
     old_identity = app.index.identity
+    tier = app.index.backend
 
     # A genuinely different run arrives, but every blob published during
     # the rebuild is corrupted on disk.
@@ -105,7 +118,7 @@ def test_corrupted_store_compile_keeps_the_old_epoch(
     assert watcher.check_once() is True
     assert watcher.last_error is None
     assert app.index.identity != old_identity
-    assert app.index.backend == "sqlite"
+    assert app.index.backend == tier
     status, __ = app.handle("/healthz")
     assert status == 200
 
