@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["BipartiteIncidence", "transpose_csr"]
+__all__ = ["BipartiteIncidence", "rank_by_size", "transpose_csr"]
 
 
 @dataclass
@@ -200,8 +200,7 @@ class BipartiteIncidence:
         websites in decreasing order of the number of entities they
         contain").  Ties break by site index for determinism.
         """
-        sizes = self.site_sizes()
-        return np.lexsort((np.arange(self.n_sites), -sizes))
+        return rank_by_size(self.site_sizes())
 
     # -- transforms ---------------------------------------------------------------
 
@@ -257,6 +256,16 @@ class BipartiteIncidence:
             f"BipartiteIncidence(entities={self.n_entities}, "
             f"sites={self.n_sites}, edges={self.n_edges})"
         )
+
+
+def rank_by_size(sizes: np.ndarray) -> np.ndarray:
+    """Site indices in decreasing order of ``sizes``, ties by site index.
+
+    The one spelling of the paper's site ranking: every ranked view of
+    a corpus (``BipartiteIncidence.sites_by_size``, the compiled
+    store's SQLite ranks) orders sites through it.
+    """
+    return np.lexsort((np.arange(len(sizes)), -np.asarray(sizes)))
 
 
 def transpose_csr(incidence: BipartiteIncidence) -> tuple[np.ndarray, np.ndarray]:

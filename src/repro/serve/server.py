@@ -427,19 +427,9 @@ class ServeApp:
         self, index: QueryIndex, host: str, params: dict[str, str]
     ) -> list[tuple[PairBackend, int]]:
         """(pair, site) matches for a host, in stable sorted-pair order."""
-        domain = params.get("domain")
-        attribute = params.get("attribute")
-        matches: list[tuple[PairBackend, int]] = []
-        for key in sorted(index.pairs):
-            pair = index.pairs[key]
-            if domain is not None and pair.domain != domain:
-                continue
-            if attribute is not None and pair.attribute != attribute:
-                continue
-            site = pair.site_of_host(host)
-            if site is None:
-                continue
-            matches.append((pair, site))
+        matches = index.host_matches(
+            host, params.get("domain"), params.get("attribute")
+        )
         if not matches:
             raise _HTTPError(404, f"unknown host {host!r}")
         return matches

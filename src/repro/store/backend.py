@@ -7,8 +7,9 @@ serving contract, all opened from the array store that
 ``ram``
     The compiled per-pair ``.npy`` blobs loaded whole — fastest, but
     resident size grows linearly with the corpus.  Without an artifact
-    cache (``--no-cache``), or over a size-bounded one, the same packed
-    arrays are compiled in memory and never published.
+    cache (``--no-cache``), or over a size-bounded one that does not
+    hold the published store yet, the same packed arrays are compiled
+    in memory and never published.
 ``mmap``
     The same blobs opened with ``np.load(..., mmap_mode="r")``, so the
     OS pages adjacency in on demand and cold rows cost no RSS.  Both
@@ -167,6 +168,12 @@ class StorageBackend(Protocol):
         """The byte-stable ``/healthz`` payload."""
         ...
 
+    def host_matches(
+        self, host: str, domain: str | None, attribute: str | None
+    ) -> list[tuple[Any, int]]:
+        """``(pair, site)`` for every pair with ``host``, in key order."""
+        ...
+
 
 @dataclass(frozen=True)
 class QueryIndex:
@@ -175,7 +182,8 @@ class QueryIndex:
     The concrete index type for *all* tiers: only the pair/demand
     objects inside differ per backend.  ``summary()`` deliberately
     omits the backend name — the ``/healthz`` payload is part of the
-    byte-identity contract.
+    byte-identity contract.  ``host_directory`` is the resident
+    tier's :class:`~repro.store.mmapcsr.HostDirectory` (None elsewhere).
     """
 
     config: ExperimentConfig
@@ -185,6 +193,7 @@ class QueryIndex:
     identity: str
     build_seconds: float
     backend: str = "ram"
+    host_directory: Any = field(default=None, repr=False)
 
     def resolve_pair(self, domain: str, attribute: str | None) -> Any:
         """Find the index for a domain, defaulting to its first attribute."""
@@ -193,6 +202,35 @@ class QueryIndex:
             if attribute is None:
                 return None
         return self.pairs.get((domain, attribute))
+
+    def host_matches(
+        self, host: str, domain: str | None, attribute: str | None
+    ) -> list[tuple[Any, int]]:
+        """``(pair, site)`` for every pair with ``host``, in key order.
+
+        ``domain``/``attribute`` (None: any) narrow the pairs asked.
+        With a host directory every pair is answered by one search;
+        otherwise each pair resolves the host itself.
+        """
+
+        def wanted(key: tuple[str, str]) -> bool:
+            return (domain is None or key[0] == domain) and (
+                attribute is None or key[1] == attribute
+            )
+
+        if self.host_directory is not None:
+            return [
+                (self.pairs[key], site)
+                for key, site in self.host_directory.lookup(host)
+                if wanted(key)
+            ]
+        matches: list[tuple[Any, int]] = []
+        for key in sorted(self.pairs):
+            if wanted(key):
+                site = self.pairs[key].site_of_host(host)
+                if site is not None:
+                    matches.append((self.pairs[key], site))
+        return matches
 
     def summary(self) -> dict[str, object]:
         """The `/healthz` payload: enough shape for a load generator."""
@@ -324,14 +362,16 @@ def open_backend(
     blob digest-verified), against a cold one :func:`build_store`
     regenerates the blobs first.  With no cache at all, ``ram``
     compiles the same arrays in memory and publishes nothing; the
-    out-of-core tiers raise ``RuntimeError``.  ``ram`` does the same
-    over a size-bounded cache, whose eviction can drop the store's
-    blobs while they are being published (the out-of-core tiers then
-    fail the read-back).
+    out-of-core tiers raise ``RuntimeError``.  Over a size-bounded
+    cache, whose eviction can drop the store's blobs while they are
+    being published (the out-of-core tiers then fail the read-back),
+    ``ram`` opens an already published store and otherwise compiles
+    in memory too.  ``ram`` also gets a host directory, so a site
+    lookup is one search however many pairs it spans.
     """
     from repro.perf.cache import active_cache
-    from repro.store.compile import build_store, materialize_store
-    from repro.store.mmapcsr import open_array_pairs
+    from repro.store.compile import build_store, materialize_store, open_store
+    from repro.store.mmapcsr import HostDirectory, open_array_pairs
     from repro.store.sql import open_sqlite_pairs
 
     if backend not in ("ram", "mmap", "sqlite"):
@@ -339,13 +379,17 @@ def open_backend(
     started = time.perf_counter()
     cache = cache if cache is not None else active_cache()
     if backend == "ram" and (cache is None or cache.max_bytes is not None):
-        artifacts = materialize_store(manifest)
+        published = None if cache is None else open_store(manifest, cache)
+        artifacts = published or materialize_store(manifest)
     else:
         artifacts = build_store(manifest, cache=cache)
+    host_directory = None
     if backend == "sqlite":
         pairs, demand = open_sqlite_pairs(artifacts, cache)
     else:
         pairs, demand = open_array_pairs(artifacts, resident=backend == "ram")
+        if backend == "ram" and pairs:
+            host_directory = HostDirectory.build(pairs)
     default_attribute: dict[str, str] = {}
     for domain, attribute in manifest.spread_pairs:
         default_attribute.setdefault(domain, attribute)
@@ -357,4 +401,5 @@ def open_backend(
         identity=artifacts.identity,
         build_seconds=time.perf_counter() - started,
         backend=backend,
+        host_directory=host_directory,
     )

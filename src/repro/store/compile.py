@@ -25,9 +25,10 @@ Compilation is idempotent and crash/chaos-safe: each blob is published
 atomically with a sha256 sidecar, and the final read-back re-verifies
 every digest.  An injected ``op=corrupt`` fault (or real bit rot)
 therefore fails the compile loudly — the hot-reload watcher keeps the
-previous epoch instead of serving a torn store.  Without an artifact
-cache, :func:`materialize_store` returns the same packed arrays in
-memory, unpublished (the ``ram`` tier under ``--no-cache``).
+previous epoch instead of serving a torn store.  :func:`open_store`
+is the read-only half (a published store or None), and
+:func:`materialize_store` returns the same packed arrays in memory,
+unpublished (the ``ram`` tier under ``--no-cache``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "build_store",
     "load_blob",
     "materialize_store",
+    "open_store",
     "store_blob_key",
     "unpack_texts",
 ]
@@ -302,6 +304,19 @@ def _open_existing(
     )
 
 
+def open_store(manifest: Manifest, cache: ArtifactCache) -> StoreArtifacts | None:
+    """The manifest's published store, every blob digest-verified.
+
+    A read-only open: None when the store (or any blob of it) is not
+    in the cache, and nothing is ever published.
+    """
+    identity = manifest_identity(manifest)
+    rows = cache.get_records(store_blob_key(identity, "meta"))
+    if not rows:
+        return None
+    return _open_existing(manifest, cache, identity, rows[0])
+
+
 def build_store(
     manifest: Manifest, cache: ArtifactCache | None = None
 ) -> StoreArtifacts:
@@ -322,15 +337,12 @@ def build_store(
             "out-of-core store backends need an artifact cache; "
             "configure one (drop --no-cache) or pass cache= explicitly"
         )
-    identity = manifest_identity(manifest)
-    meta_key = store_blob_key(identity, "meta")
-    rows = cache.get_records(meta_key)
-    if rows:
-        existing = _open_existing(manifest, cache, identity, rows[0])
-        if existing is not None:
-            return existing
+    existing = open_store(manifest, cache)
+    if existing is not None:
+        return existing
 
     compiled = materialize_store(manifest)
+    identity = compiled.identity
     for row in compiled.meta["pairs"]:
         blobs = compiled.pair_blobs[(row["domain"], row["attribute"])]
         for name, array in blobs.items():
@@ -354,7 +366,7 @@ def build_store(
     # Meta goes last: its presence implies every blob above was
     # published.  The read-back below re-verifies every digest so a
     # corrupted publish fails the compile instead of serving torn data.
-    cache.put_records(meta_key, [compiled.meta])
+    cache.put_records(store_blob_key(identity, "meta"), [compiled.meta])
     reopened = _open_existing(manifest, cache, identity, compiled.meta)
     if reopened is None:
         raise RuntimeError(

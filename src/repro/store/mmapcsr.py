@@ -21,8 +21,11 @@ String resolution (host → site, catalog id → entity) binary-searches
 pre-sorted string blobs (``bisect_right`` over the array) — O(log n)
 page touches instead of a resident hash map — and steps back one to
 pick the largest index among duplicates (a host map's last-wins rule).
-Listings (``entity_site_hosts``, ``site_hosts``, ``entity_labels``)
-take one fancy index into the string blob and one ``tolist()``.
+The ``ram`` tier also indexes every pair's hosts in one
+:class:`HostDirectory`, so a site lookup across all pairs is one
+search instead of one per pair.  Listings (``entity_site_hosts``,
+``site_hosts``, ``entity_labels``) take one fancy index into the
+string blob and one ``tolist()``.
 
 Every numeric path reuses shared code
 (:func:`~repro.core.setcover.greedy_set_cover` through
@@ -36,6 +39,7 @@ from __future__ import annotations
 import bisect
 import mmap
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -45,7 +49,7 @@ import numpy as np
 from repro.store.backend import CsrView, check_top_t, coverage_row, run_set_cover
 from repro.store.compile import StoreArtifacts, load_blob, unpack_texts
 
-__all__ = ["ArrayPair", "MmapPair", "open_array_pairs"]
+__all__ = ["ArrayPair", "HostDirectory", "MmapPair", "open_array_pairs"]
 
 
 def _advise_random(array: np.ndarray) -> np.ndarray:
@@ -233,6 +237,66 @@ class ArrayPair:
 # mmap tier's pair class by this name and patches its methods; both
 # array residencies answer through ArrayPair, so the name is bound to it.
 MmapPair = ArrayPair
+
+
+@dataclass(frozen=True)
+class HostDirectory:
+    """Every pair's hosts in one index, for the resident tier.
+
+    A site request without ``domain``/``attribute`` asks every pair for
+    the host; one binary search here answers for all of them.  Entries
+    are the CRC-32 of each packed host, sorted with ties by (pair,
+    site); a hit is confirmed against the pair's host blob, so a CRC
+    collision costs a comparison, never a wrong answer.  Checksums
+    instead of a copy of the host strings keep the index at 12 bytes
+    per site; the columns are held as ``memoryview`` so each probe
+    reads a plain ``int`` (a numpy scalar per probe doubles a lookup).
+    """
+
+    keys: tuple[tuple[str, str], ...]
+    texts: tuple[np.ndarray, ...] = field(repr=False)
+    checksums: memoryview = field(repr=False)
+    pair_no: memoryview = field(repr=False)
+    sites: memoryview = field(repr=False)
+
+    @classmethod
+    def build(cls, pairs: dict[tuple[str, str], ArrayPair]) -> "HostDirectory":
+        """Index the ``hosts`` blobs of ``pairs``."""
+        keys = tuple(sorted(pairs))
+        sizes = [pairs[key].n_sites for key in keys]
+        checksums = np.concatenate(
+            [
+                np.fromiter(map(zlib.crc32, pairs[key].hosts.tolist()), np.uint32, size)
+                for key, size in zip(keys, sizes)
+            ]
+        )
+        pair_no = np.repeat(np.arange(len(keys), dtype=np.int32), sizes)
+        sites = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
+        order = np.lexsort((sites, pair_no, checksums))
+        return cls(
+            keys,
+            tuple(pairs[key].hosts for key in keys),
+            memoryview(checksums[order]),
+            memoryview(pair_no[order]),
+            memoryview(sites[order]),
+        )
+
+    def lookup(self, host: str) -> list[tuple[tuple[str, str], int]]:
+        """``(pair key, site)`` for every pair with ``host``, in key order.
+
+        Within a pair the largest matching site wins, as a host map's
+        last duplicate would.
+        """
+        key = host.encode("utf-8")
+        checksum = zlib.crc32(key)
+        pos = bisect.bisect_left(self.checksums, checksum)
+        found: dict[int, int] = {}
+        while pos < len(self.checksums) and self.checksums[pos] == checksum:
+            number, site = self.pair_no[pos], self.sites[pos]
+            if self.texts[number][site] == key:
+                found[number] = site
+            pos += 1
+        return [(self.keys[number], site) for number, site in found.items()]
 
 
 def open_array_pairs(

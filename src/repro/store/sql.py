@@ -38,6 +38,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.incidence import rank_by_size
 from repro.perf.cache import ArtifactCache
 from repro.store.backend import check_top_t, coverage_row, run_set_cover
 from repro.store.compile import (
@@ -444,11 +445,8 @@ def _write_sqlite(tmp: Path, artifacts: StoreArtifacts) -> None:
             )
             site_ptr = load_blob(blobs["site_ptr"]).astype(np.int64)
             sizes = np.diff(site_ptr)
-            # The paper's size ranking, ties by site index (as
-            # BipartiteIncidence.sites_by_size orders them).
-            ranked = np.lexsort((np.arange(n_sites), -sizes))
             rank_of = np.empty(n_sites, dtype=np.int64)
-            rank_of[ranked] = np.arange(1, n_sites + 1, dtype=np.int64)
+            rank_of[rank_by_size(sizes)] = np.arange(1, n_sites + 1, dtype=np.int64)
             conn.executemany(
                 "INSERT INTO sites(pair_id, site, host, size, site_rank)"
                 " VALUES (?, ?, ?, ?, ?)",

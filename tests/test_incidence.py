@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, rank_by_size
 
 
 def test_basic_accessors(tiny_incidence):
@@ -43,6 +43,13 @@ def test_sites_by_size_order(tiny_incidence):
     assert order[1] == 1
     # ties between the two singleton sites break by index
     assert order.tolist()[2:] == [2, 3]
+
+
+def test_rank_by_size_is_the_site_ranking(tiny_incidence):
+    """One ranking for every caller: decreasing size, ties by index."""
+    assert rank_by_size(np.array([1, 3, 1, 3, 0])).tolist() == [1, 3, 0, 2, 4]
+    sizes = tiny_incidence.site_sizes()
+    assert rank_by_size(sizes).tolist() == tiny_incidence.sites_by_size().tolist()
 
 
 def test_duplicate_entities_within_site_merged():

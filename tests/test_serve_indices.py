@@ -161,6 +161,78 @@ def test_duplicate_keys_resolve_last_and_labels_decode(tmp_path, monkeypatch):
         assert pair.site_hosts([2, 0]) == ["a.example", "a.example"]
 
 
+def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
+    """The ram tier resolves a host for every pair in one search; it must
+    answer like each pair's own search: a host shared by two pairs
+    matches both in key order, a duplicate within a pair resolves to its
+    last site, and hosts whose CRC-32 collide ("plumless"/"buckeroo")
+    stay apart.  Unfiltered site requests render byte-identically on
+    every tier."""
+    import repro.pipeline.experiments as experiments
+    from repro.serve import ServeApp, ServeSettings
+
+    corpora = {
+        ("one", "a"): BipartiteIncidence.from_site_lists(
+            n_entities=3,
+            sites=[("plumless", [0]), ("shared.example", [1]), ("plumless", [2])],
+        ),
+        ("two", "b"): BipartiteIncidence.from_site_lists(
+            n_entities=3,
+            sites=[
+                ("shared.example", [0, 2]),
+                ("buckeroo", [1]),
+                ("\u00fc.example", [0]),
+            ],
+        ),
+    }
+    monkeypatch.setattr(
+        experiments,
+        "spread_incidence",
+        lambda domain, attribute, config: corpora[(domain, attribute)],
+    )
+    manifest = Manifest(
+        config=CONFIG, spread_pairs=tuple(corpora), traffic_sites=(), artifacts=()
+    )
+    index = build_index(manifest, backend="ram")
+    assert index.host_directory is not None
+
+    def matches(host, domain=None, attribute=None):
+        return [
+            (pair.domain, site)
+            for pair, site in index.host_matches(host, domain, attribute)
+        ]
+
+    assert matches("shared.example") == [("one", 1), ("two", 0)]
+    assert matches("plumless") == [("one", 2)]
+    assert matches("buckeroo") == [("two", 1)]
+    assert matches("\u00fc.example") == [("two", 2)]
+    assert matches("shared.example", domain="two") == [("two", 0)]
+    assert matches("shared.example", attribute="a") == [("one", 1)]
+    assert matches("shared.example", "one", "b") == []
+    assert matches("no-such-host.example") == []
+
+    previous = configure_cache(ArtifactCache(directory=tmp_path / "cache"))
+    try:
+        apps = {
+            tier: ServeApp(
+                build_index(manifest, backend=tier),
+                ServeSettings(response_cache_entries=0),
+            )
+            for tier in ("ram", "mmap", "sqlite")
+        }
+    finally:
+        configure_cache(previous)
+    try:
+        for host in ("shared.example", "plumless", "buckeroo", "nope.example"):
+            for query in ("", "?limit=1", "?domain=two", "?attribute=a"):
+                path = f"/v1/site/{host}/entities{query}"
+                bodies = {tier: app.handle(path) for tier, app in apps.items()}
+                assert bodies["ram"] == bodies["mmap"] == bodies["sqlite"], path
+    finally:
+        for app in apps.values():
+            app.close()
+
+
 def test_set_cover_matches_greedy_on_the_incidence(tiers, incidences):
     for key, incidence in incidences.items():
         for budget in (1, 5, incidence.n_sites):

@@ -330,6 +330,38 @@ def test_ram_over_a_bounded_cache_compiles_in_memory(apps, tmp_path):
         app.close()
 
 
+def test_ram_over_a_bounded_cache_opens_a_published_store(
+    apps, tmp_path, monkeypatch
+):
+    """A bounded cache that already holds the published store is opened
+    read-only: nothing is recompiled or published."""
+    import repro.store.compile as store_compile
+
+    directory = tmp_path / "cache"
+    build_store(MANIFEST, cache=ArtifactCache(directory=directory))
+
+    def recompile(manifest):
+        raise AssertionError("the published store was compiled again")
+
+    monkeypatch.setattr(store_compile, "materialize_store", recompile)
+    cache = ArtifactCache(directory=directory, max_bytes=1)
+    previous = configure_cache(cache)
+    try:
+        app = ServeApp(
+            build_index(MANIFEST, backend="ram"),
+            ServeSettings(response_cache_entries=0),
+        )
+    finally:
+        configure_cache(previous)
+    try:
+        assert cache.stats.puts == 0
+        pair = apps["reference"].index.pairs[("restaurants", "phone")]
+        for path in seeded_stream(pair, count=100):
+            assert app.handle(path) == apps["ram"].handle(path), path
+    finally:
+        app.close()
+
+
 def test_first_sqlite_open_compiles_the_image_once(tmp_path):
     cache = ArtifactCache(directory=tmp_path / "cache")
     previous = configure_cache(cache)
