@@ -49,10 +49,11 @@ bench-serve:
 	PYTHONPATH=src $(PYTHON) -m repro bench --history
 
 # Storage-tier ladder: serve the same 100k-entity corpus from each
-# backend (ram / mmap / sqlite) in a fresh process, compare RSS
-# high-water marks and latency; writes BENCH_PR9.json at the repo root.
+# backend (ram / mmap) in a fresh process, compare RSS high-water marks
+# and latency.  Writes benchmarks/output/store_ladder.json, never over
+# a committed BENCH_PR*.json record (`repro bench --history` reads those).
 bench-store:
-	PYTHONPATH=src $(PYTHON) benchmarks/store_ladder.py --out BENCH_PR9.json
+	PYTHONPATH=src $(PYTHON) benchmarks/store_ladder.py
 
 # The repo's end-to-end benchmark (declared by BENCHMARK.json): both
 # workloads, timed; each prints its metrics and a JSON verdict and exits

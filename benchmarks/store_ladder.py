@@ -1,23 +1,25 @@
-"""The PR's acceptance benchmark: the storage-backend ladder.
+"""The storage-backend ladder.
 
 Serves one run at the ``ladder`` scale (100k entities — past the
-``auto`` RAM threshold) three times, once per storage tier, each in a
+``auto`` RAM threshold) twice, once per storage tier, each in a
 **fresh server process** so peak RSS is attributable to the backend
-alone.  The store blobs are compiled once up front, so the out-of-core
-rungs measure pure open-and-serve cost against a warm artifact cache.
+alone.  The store blobs are compiled once up front, so both rungs
+measure pure open-and-serve cost against a warm artifact cache.
 
 Each rung drives the same seeded closed-loop request mix and records
 throughput, latency percentiles, and the server's resident high-water
-mark (``VmHWM``).  The report passes when every out-of-core tier holds
+mark (``VmHWM``).  The report passes when the mmap tier holds
 
 - peak RSS at or below ``rss_ratio_max`` (50%) of the RAM tier's, and
 - p99 latency within ``p99_ratio_max`` (5x) of the RAM tier's.
 
-``make bench-store`` writes ``BENCH_PR9.json`` at the repo root.
+The report goes to ``benchmarks/output/store_ladder.json`` unless
+``--out`` names another path; ``repro bench --history`` reads only the
+committed ``BENCH_PR*.json`` records at the repo root.
 
 Usage::
 
-    python benchmarks/store_ladder.py --out BENCH_PR9.json
+    python benchmarks/store_ladder.py          # make bench-store
     python benchmarks/store_ladder.py --scale tiny --requests 200
 """
 
@@ -47,9 +49,8 @@ from repro.serve.loadgen import (  # noqa: E402
     stream_digest,
 )
 from repro.store import Manifest, build_store  # noqa: E402
-from repro.store.sql import compile_sqlite  # noqa: E402
 
-TIERS = ("ram", "mmap", "sqlite")
+TIERS = ("ram", "mmap")
 RSS_RATIO_MAX = 0.5
 P99_RATIO_MAX = 5.0
 
@@ -196,18 +197,12 @@ def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
 def evaluate(rungs: list[dict]) -> dict:
     """The pass/fail criteria over the finished ladder."""
     by_backend = {rung["backend"]: rung for rung in rungs}
-    ram = by_backend["ram"]
-    rss_ratios = {}
-    p99_ratios = {}
-    ok = True
-    for backend in ("mmap", "sqlite"):
-        rung = by_backend[backend]
-        rss_ratios[backend] = round(rung["rss_mb"] / ram["rss_mb"], 3)
-        p99_ratios[backend] = round(
-            rung["latency_ms"]["p99_ms"] / ram["latency_ms"]["p99_ms"], 3
-        )
-        ok = ok and rss_ratios[backend] <= RSS_RATIO_MAX
-        ok = ok and p99_ratios[backend] <= P99_RATIO_MAX
+    ram, mmap = by_backend["ram"], by_backend["mmap"]
+    rss_ratios = {"mmap": round(mmap["rss_mb"] / ram["rss_mb"], 3)}
+    p99_ratios = {
+        "mmap": round(mmap["latency_ms"]["p99_ms"] / ram["latency_ms"]["p99_ms"], 3)
+    }
+    ok = rss_ratios["mmap"] <= RSS_RATIO_MAX and p99_ratios["mmap"] <= P99_RATIO_MAX
     for rung in rungs:
         ok = ok and set(rung["statuses"]) == {"200"}
     setcover_agrees = len({rung["setcover_coverage"] for rung in rungs}) == 1
@@ -229,7 +224,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--requests", type=int, default=1500)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_PR9.json"))
+    parser.add_argument(
+        "--out",
+        type=Path,
+        default=Path(__file__).resolve().parent / "output" / "store_ladder.json",
+    )
     parser.add_argument(
         "--cache-dir",
         type=Path,
@@ -246,15 +245,10 @@ def main(argv: list[str] | None = None) -> int:
         cache = args.cache_dir if args.cache_dir else Path(tmp) / "cache"
         manifest = write_run(run, config)
         print(f"compiling store blobs at scale {args.scale}...", flush=True)
-        store_cache = ArtifactCache(directory=cache)
-        previous = configure_cache(store_cache)
+        previous = configure_cache(ArtifactCache(directory=cache))
         try:
             started = time.perf_counter()
             store = build_store(manifest)
-            # The sqlite tier builds its image on first open; compile it
-            # here so its rung's ready_seconds times an open, as the
-            # other rungs' do.
-            compile_sqlite(store, store_cache)
             compile_seconds = time.perf_counter() - started
         finally:
             configure_cache(previous)

@@ -329,8 +329,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
         store = build_store(load_manifest(args.output))
         print(
             f"store compiled [{store.identity[:12]}]: "
-            f"{len(store.pair_blobs)} pair blob sets "
-            "(the sqlite tier compiles its image on first open)"
+            f"{len(store.pair_blobs)} pair blob sets"
         )
     return 0
 
@@ -357,12 +356,12 @@ def _install_fault_plan(plan_text: str | None) -> int:
 def _resolve_backend(args: argparse.Namespace) -> str:
     """Validate the ``--backend`` / ``--no-cache`` combination.
 
-    The out-of-core tiers compile cache-addressed store blobs, so they
-    need the artifact cache; ``auto`` quietly degrades to ``ram`` when
-    the cache is off, while an explicit out-of-core choice is an error.
+    The mmap tier maps cache-addressed store blobs, so it needs the
+    artifact cache; ``auto`` quietly degrades to ``ram`` when the cache
+    is off, while an explicit ``mmap`` is an error.
     """
     backend = getattr(args, "backend", "auto")
-    if args.no_cache and backend in ("mmap", "sqlite"):
+    if args.no_cache and backend == "mmap":
         raise ValueError(
             f"--backend {backend} compiles cache-addressed store blobs "
             "and needs the artifact cache; drop --no-cache"
@@ -974,8 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compile-store",
         action="store_true",
         help="after the run, compile the store's array blobs so `repro "
-        "serve --backend ram|mmap` starts against warm artifacts (the "
-        "sqlite tier builds its image from them on first open; needs "
+        "serve --backend ram|mmap` starts against warm artifacts (needs "
         "the cache)",
     )
     run_all.set_defaults(handler=_cmd_all)
@@ -1003,11 +1001,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sub.add_argument(
             "--backend",
-            choices=("auto", "ram", "mmap", "sqlite"),
+            choices=("auto", "ram", "mmap"),
             default="auto",
-            help="storage tier for the serving index: in-RAM CSR, "
-            "memory-mapped CSR blobs, or compiled SQLite; auto picks "
-            "by manifest size (see docs/storage.md)",
+            help="storage tier for the serving index: the compiled CSR "
+            "blobs loaded whole or memory-mapped; auto picks by "
+            "manifest size (see docs/storage.md)",
         )
         sub.add_argument("--host", default="127.0.0.1", help="bind address")
         sub.add_argument(

@@ -262,8 +262,8 @@ def rank_by_size(sizes: np.ndarray) -> np.ndarray:
     """Site indices in decreasing order of ``sizes``, ties by site index.
 
     The one spelling of the paper's site ranking: every ranked view of
-    a corpus (``BipartiteIncidence.sites_by_size``, the compiled
-    store's SQLite ranks) orders sites through it.
+    a corpus (``BipartiteIncidence.sites_by_size``, and through it the
+    compiled store's ``top_hosts``) orders sites through it.
     """
     return np.lexsort((np.arange(len(sizes)), -np.asarray(sizes)))
 

@@ -67,7 +67,7 @@ LAYERS: dict[str, frozenset[str]] = {
         }
     ),
     # Tiered query storage: compiles the pipeline's cache-aware
-    # artifacts into out-of-core backends (mmap CSR blobs, SQLite).
+    # artifacts into CSR blobs the ram and mmap backends open.
     # Sits above `pipeline` (it replays the same builders) but below
     # `serve` — the storage tiers must never know about HTTP.
     "store": frozenset({"core", "perf", "pipeline", "resilience"}),

@@ -1,19 +1,19 @@
 """Storage rules (``STORE001``).
 
-The SQLite tier answers live HTTP queries with caller-derived values
-(entity ids, host names, review counts).  Its one hard invariant: SQL
-text handed to ``execute``/``executemany``/``executescript`` must be a
-*constant* — parameters travel through ``?`` placeholders, never
-through string interpolation.  Interpolated SQL is an injection
-surface the moment a request parameter reaches it, and it also breaks
-SQLite's statement cache (every distinct string is a fresh parse).
+The crawl page store (:class:`repro.crawl.store.SqlitePageStore`)
+queries SQLite with caller-derived values (host names, URLs, page
+bodies).  Its one hard invariant: SQL text handed to
+``execute``/``executemany``/``executescript`` must be a *constant* —
+parameters travel through ``?`` placeholders, never through string
+interpolation.  Interpolated SQL is an injection surface the moment an
+outside value reaches it, and it also breaks SQLite's statement cache
+(every distinct string is a fresh parse).
 
 The rule is syntactic and conservative: it fires on f-strings,
 ``%``/``+`` expressions, ``.format(...)`` calls, and ``str.join``
 results in the SQL argument position.  Building a statement from
-constants still trips it — by design; ``repro.store.compile`` keeps
-every statement a literal (see the ``ks_seq`` table trick for variable
-``IN`` lists).
+constants still trips it — by design: keep every statement a literal
+and pass variable parts as parameters.
 """
 
 from __future__ import annotations
@@ -92,5 +92,5 @@ class InterpolatedSqlRule(Rule):
                 f"SQL built by {kind} reaches .{func.attr}(); statements "
                 "must be constant strings with `?` placeholders — "
                 "interpolation is an injection surface and defeats the "
-                "statement cache (see docs/storage.md)",
+                "statement cache (see docs/static_analysis.md)",
             )

@@ -117,9 +117,9 @@ def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
 def _sha256_file(path: Path) -> str:
     """Hex sha256 of a file's bytes, streamed in 1 MiB chunks.
 
-    Store blobs (CSR arrays, the SQLite image) run to hundreds of MB;
-    a whole-file ``read_bytes()`` here would spike every opener's RSS
-    by the largest blob's size and defeat the out-of-core tiers.
+    Store blobs (CSR arrays) run to hundreds of MB; a whole-file
+    ``read_bytes()`` here would spike every opener's RSS by the
+    largest blob's size and defeat the mmap tier.
     """
     digest = hashlib.sha256()
     with path.open("rb") as handle:
@@ -166,13 +166,14 @@ class ArtifactCache:
     def _publish(self, path: Path, write) -> None:
         """Atomically write a blob, record its digest, enforce budget.
 
-        The digest is computed over the temp file *before* publication,
-        so the sidecar always describes the bytes that were actually
-        written; anything that mangles the blob afterwards (bit rot,
-        torn writes from outside, an injected corruption fault) is
-        caught by the read-side verification.
+        The digest is computed over the temp file and its sidecar
+        written *before* the rename publishes the blob, so the sidecar
+        always describes the bytes that were actually written, and no
+        reader (another process sharing the directory) can find the
+        blob without it.  Anything that mangles the blob afterwards
+        (bit rot, torn writes from outside, an injected corruption
+        fault) is caught by the read-side verification.
         """
-        digest = ""
         plan = active_plan()
         if plan is not None:
             # op=stall wedges the publish (path name is "<key><suffix>",
@@ -180,12 +181,10 @@ class ArtifactCache:
             plan.stall_cache_io(path.stem, path)
 
         def _write(tmp: Path) -> None:
-            nonlocal digest
             write(tmp)
-            digest = _sha256_file(tmp)
+            atomic_write_text(self._sidecar(path), _sha256_file(tmp) + "\n")
 
         atomic_publish(path, _write)
-        atomic_write_text(self._sidecar(path), digest + "\n")
         self.stats.puts += 1
         if plan is not None:
             # path name is "<key><suffix>", so stem recovers the key.
@@ -313,11 +312,11 @@ class ArtifactCache:
 
     # -- raw file blobs -----------------------------------------------------
     #
-    # Opaque single-file artifacts the caller opens *in place* (a
-    # compiled SQLite store, an individual ``.npy`` destined for
-    # ``mmap_mode="r"``).  Unlike the decoding kinds above, a hit hands
-    # back the verified blob *path*: out-of-core backends must read the
-    # published file itself, not a deserialized copy.
+    # Opaque single-file artifacts the caller opens *in place* (an
+    # individual ``.npy`` destined for ``mmap_mode="r"``).  Unlike the
+    # decoding kinds above, a hit hands back the verified blob *path*:
+    # the mmap tier must map the published file itself, not a
+    # deserialized copy.
 
     def get_file(self, key: str, suffix: str) -> Path | None:
         """Verified path of a cached raw blob, or None on miss."""

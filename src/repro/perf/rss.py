@@ -1,8 +1,8 @@
 """Resident-memory accounting for benchmark reports.
 
-The storage-tier benchmarks (``repro serve-bench``, the PR9 backend
-ladder) compare tiers by *peak* resident set size: the mmap and SQLite
-backends exist to keep RSS bounded while the ram tier pays memory for
+The storage-tier benchmarks (``repro serve-bench``, the backend
+ladder) compare tiers by *peak* resident set size: the mmap tier
+exists to keep RSS bounded while the ram tier pays memory for
 latency.  Linux keeps exactly the number we want — ``VmHWM`` in
 ``/proc/<pid>/status``, the high-water mark of the resident set over
 the process lifetime — so a single read after the load run captures
@@ -59,9 +59,8 @@ def peak_rss_mb(pids: Iterable[int | None]) -> float | None:
     """Highest per-process peak RSS in MB over ``pids``; None if unknown.
 
     The sharded server's memory story is per-worker (each worker maps
-    the same blobs / opens its own SQLite connection), so the ladder
-    reports the *max* over workers, not the sum — the sum would charge
-    shared mmap pages once per worker.
+    the same blobs), so the ladder reports the *max* over workers, not
+    the sum — the sum would charge shared mmap pages once per worker.
     """
     values = [rss_high_water_mb(pid) for pid in pids]
     known = [value for value in values if value is not None]

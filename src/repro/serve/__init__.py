@@ -10,9 +10,8 @@ cooperating pieces:
   compiled store in :mod:`repro.store`: CSR entity↔site adjacency per
   (domain, attribute), per-site k-coverage tables, demand-vs-reviews
   lookup tables, and catalog id arrays.  ``build_index(..., backend=)``
-  picks the residency (``ram`` loads the blobs, ``mmap`` maps them,
-  ``sqlite`` queries an image compiled from them) — byte-identical
-  responses (see ``docs/storage.md``).
+  picks the residency (``ram`` loads the blobs, ``mmap`` maps them) —
+  byte-identical responses (see ``docs/storage.md``).
 - :mod:`repro.serve.server` — the transport-free JSON request core
   (``/v1/entity``, ``/v1/site`` with pagination cursors,
   ``/v1/coverage``, ``/v1/demand``, ``/v1/setcover``, ``/healthz``,

@@ -21,12 +21,11 @@ Read-optimized layout per (domain, attribute) pair, compiled once by
 - host and catalog-id string arrays with their sort orders, for
   binary-search resolution.
 
-``backend`` picks the residency: ``ram`` loads those blobs whole,
-``mmap`` maps them, ``sqlite`` queries an image compiled from them
-(``auto`` picks by manifest size).  All tiers answer with byte-identical
-responses.  The manifest machinery and the shared :class:`DemandTable`
-live in ``repro.store`` (below this layer) and are re-exported here for
-compatibility.
+``backend`` picks the residency: ``ram`` loads those blobs whole and
+``mmap`` maps them (``auto`` picks by manifest size).  Both tiers
+answer with byte-identical responses.  The manifest machinery and the
+shared :class:`DemandTable` live in ``repro.store`` (below this layer)
+and are re-exported here for compatibility.
 
 Everything is built once; queries never mutate, so the HTTP layer
 reads without locks.
@@ -57,9 +56,9 @@ def build_index(manifest: Manifest, backend: str = "auto") -> QueryIndex:
     """Build the serving index for a manifest's run.
 
     ``backend`` selects the storage tier: ``"ram"`` (the compiled
-    arrays, resident), ``"mmap"`` (the same arrays, memory-mapped),
-    ``"sqlite"``, or ``"auto"`` to pick by manifest size.  All tiers
-    return byte-identical query responses; only residency and latency
+    arrays, resident), ``"mmap"`` (the same arrays, memory-mapped), or
+    ``"auto"`` to pick by manifest size.  Both tiers return
+    byte-identical query responses; only residency and latency
     differ.  The returned index is immutable and safe for lock-free
     concurrent reads.
     """

@@ -50,7 +50,8 @@ from repro.resilience import InjectedTaskError, RetryPolicy, active_plan
 from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.rcache import ResponseCache
-from repro.store.backend import PairBackend, QueryIndex
+from repro.store.backend import QueryIndex
+from repro.store.mmapcsr import ArrayPair
 
 __all__ = [
     "RunRouter",
@@ -378,7 +379,7 @@ class ServeApp:
         return 200, _render(payload)
 
     @staticmethod
-    def _pair(index: QueryIndex, params: dict[str, str]) -> PairBackend:
+    def _pair(index: QueryIndex, params: dict[str, str]) -> ArrayPair:
         """Resolve the (domain, attribute) pair named by request params."""
         domain = params["domain"]
         pair = index.resolve_pair(domain, params.get("attribute"))
@@ -425,7 +426,7 @@ class ServeApp:
 
     def _site_matches(
         self, index: QueryIndex, host: str, params: dict[str, str]
-    ) -> list[tuple[PairBackend, int]]:
+    ) -> list[tuple[ArrayPair, int]]:
         """(pair, site) matches for a host, in stable sorted-pair order."""
         matches = index.host_matches(
             host, params.get("domain"), params.get("attribute")
@@ -593,7 +594,7 @@ class ServeApp:
         payload["batcher"] = epoch.batcher.stats()
         payload["deadline_seconds"] = self.policy.timeout_seconds
         payload["index_fingerprint"] = epoch.index.identity
-        payload["backend"] = getattr(epoch.index, "backend", "ram")
+        payload["backend"] = epoch.index.backend
         return payload
 
 
@@ -661,7 +662,7 @@ class RunRouter:
             "runs": [
                 {
                     "run_id": run_id,
-                    "backend": getattr(app.index, "backend", "ram"),
+                    "backend": app.index.backend,
                     "index_fingerprint": app.index.identity,
                     "scale": app.index.config.scale,
                     "seed": app.index.config.seed,

@@ -16,11 +16,6 @@ manifest identity:
 - one ``meta`` record blob, published **last** so its presence implies
   every other blob was published.
 
-The SQLite image is not compiled here: :mod:`repro.store.sql` builds it
-from these blobs the first time a ``sqlite`` tier opens the store, so
-no ``ram`` or ``mmap`` open (and no ``repro all --compile-store``) pays
-for an image it never reads.
-
 Compilation is idempotent and crash/chaos-safe: each blob is published
 atomically with a sha256 sidecar, and the final read-back re-verifies
 every digest.  An injected ``op=corrupt`` fault (or real bit rot)

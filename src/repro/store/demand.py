@@ -1,12 +1,9 @@
-"""Figure-7 demand lookup tables, shared by every storage backend.
+"""Figure-7 demand lookup tables, served by every storage tier.
 
 The serve tier answers ``/v1/demand`` from a binned demand-vs-reviews
 curve per traffic site.  The table itself is tiny (a dozen bins), so
-the RAM and mmap backends hold it as two aligned float64 arrays; the
-SQLite backend re-implements the same nearest-occupied-bin lookup in
-SQL (:class:`repro.store.sql.SqliteDemandTable`).  Both paths must
-produce byte-identical response payloads, so the reference semantics
-live here: nearest bin by absolute distance, first index winning ties
+both tiers hold it as two aligned float64 arrays.  Lookup semantics:
+nearest occupied bin by absolute distance, first index winning ties
 (``np.argmin``), mean rounded to six digits at lookup time.
 """
 
@@ -18,13 +15,7 @@ import numpy as np
 
 from repro.core.valueadd import log2_review_bins
 
-__all__ = ["DemandTable", "query_bin_center"]
-
-
-def query_bin_center(n_reviews: int) -> float:
-    """The paper's log2 bin center for a review count (shared by tiers)."""
-    bins, centers = log2_review_bins(np.asarray([n_reviews]))
-    return float(centers[bins[0]])
+__all__ = ["DemandTable"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,8 @@ class DemandTable:
         if n_reviews < 0:
             raise ValueError("n_reviews must be non-negative")
         counts, means = self.sources[source]
-        center = query_bin_center(n_reviews)
+        bins, centers = log2_review_bins(np.asarray([n_reviews]))
+        center = float(centers[bins[0]])
         nearest = int(np.argmin(np.abs(counts - center)))
         return {
             "bin_center": float(counts[nearest]),

@@ -123,7 +123,13 @@ def _find_last(sorted_values: np.ndarray, needle: str) -> int:
 
 @dataclass(frozen=True)
 class ArrayPair:
-    """One (domain, attribute) corpus served from the store's arrays."""
+    """One (domain, attribute) corpus served from the store's arrays.
+
+    The listing methods (``entity_labels``, ``site_hosts``,
+    ``entity_site_hosts``) and ``site_page`` are batched spellings of
+    the per-item ones and must equal them exactly; each docstring
+    gives the per-item form it stands for.
+    """
 
     domain: str
     attribute: str
@@ -170,7 +176,7 @@ class ArrayPair:
         return str(entity)
 
     def entity_labels(self, entities: Any) -> list[str]:
-        """Labels for an iterable of entity indices, in input order."""
+        """``[entity_label(e) for e in entities]``, in one fancy index."""
         indices = np.asarray(entities, dtype=np.intp)
         if self.entity_ids is not None:
             return unpack_texts(self.entity_ids[indices])
@@ -187,10 +193,11 @@ class ArrayPair:
         return self.entity_idx[self.site_ptr[site] : self.site_ptr[site + 1]]
 
     def site_page(self, site: int, offset: int, count: int):
-        """``(total, page)`` slice of a site's listing.
+        """``(len(row), row[offset:offset + count])`` of a site's row.
 
-        Under ``mmap`` the slice is a lazy view of the map, so only the
-        page's rows are faulted in.
+        ``row`` is ``entities_on_site(site)``.  Under ``mmap`` the
+        slice is a lazy view of the map, so only the page's rows are
+        faulted in.
         """
         begin = int(self.site_ptr[site])
         end = int(self.site_ptr[site + 1])
@@ -198,7 +205,7 @@ class ArrayPair:
         return end - begin, page
 
     def entity_site_hosts(self, entity: int) -> list[str]:
-        """Hosts of an entity's sites, in ascending site order."""
+        """``site_hosts(sites_of_entity(entity))``: ascending site order."""
         return unpack_texts(self.hosts[self.sites_of_entity(entity)])
 
     def site_host(self, site: int) -> str:
@@ -206,7 +213,7 @@ class ArrayPair:
         return self.hosts[site].decode("utf-8")
 
     def site_hosts(self, sites: Any) -> list[str]:
-        """Hosts for an iterable of site indices, in input order."""
+        """``[site_host(s) for s in sites]``, in one fancy index."""
         return unpack_texts(self.hosts[np.asarray(sites, dtype=np.intp)])
 
     def site_of_host(self, host: str) -> int | None:

@@ -337,18 +337,18 @@ def test_serve_bench_rejects_bad_sweep(serve_artifacts, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
-def test_serve_bench_sqlite_backend_run(serve_artifacts, tmp_path, capsys):
-    report = tmp_path / "BENCH_SQLITE.json"
+def test_serve_bench_mmap_backend_run(serve_artifacts, tmp_path, capsys):
+    report = tmp_path / "BENCH_MMAP.json"
     assert main(
         [
             "serve-bench", str(serve_artifacts),
             "--seed", "7", "--clients", "2", "--requests", "20",
-            "--backend", "sqlite", "--cache-dir", str(tmp_path / "cache"),
+            "--backend", "mmap", "--cache-dir", str(tmp_path / "cache"),
             "--report", str(report),
         ]
     ) == 0
     out = capsys.readouterr().out
-    assert "sqlite backend" in out
+    assert "mmap backend" in out
     assert "server peak rss" in out
     payload = json.loads(report.read_text())
     assert payload["statuses"] == {"200": 20}

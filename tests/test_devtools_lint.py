@@ -588,6 +588,6 @@ def test_store001_ignores_non_execute_calls():
 
 def test_store001_selected_for_the_store_tree():
     config = load_config(REPO_ROOT / "pyproject.toml")
-    selectors = config.selectors_for("src/repro/store/sql.py")
+    selectors = config.selectors_for("src/repro/crawl/store.py")
     assert "STORE" in selectors
     assert "STORE001" in resolve_selectors(selectors)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.incidence import BipartiteIncidence
+from repro.perf import cache as cache_module
 from repro.perf.cache import (
     ENV_CACHE_DIR,
     ArtifactCache,
@@ -206,6 +207,28 @@ def test_missing_sidecar_is_quarantined(tmp_path):
     entry.with_name(entry.name + ".sha256").unlink()
     assert cache.get_arrays(key) is None
     _assert_quarantined(cache)
+
+
+def test_a_published_blob_already_has_its_sidecar(tmp_path, monkeypatch):
+    """A second cache over the same directory that reads a blob the
+    moment its rename publishes it finds the digest sidecar in place:
+    a verified hit, never a quarantined fresh blob."""
+    writer = ArtifactCache(tmp_path)
+    reader = ArtifactCache(tmp_path)
+    key = fingerprint("records", probe="publish-window")
+    probes = []
+    publish = cache_module.atomic_publish
+
+    def publish_then_probe(path, write):
+        published = publish(path, write)
+        probes.append(reader.get_records(key))
+        return published
+
+    monkeypatch.setattr(cache_module, "atomic_publish", publish_then_probe)
+    writer.put_records(key, [{"a": 1}])
+    assert probes == [[{"a": 1}]]
+    assert reader.stats.quarantined == 0
+    assert writer.get_records(key) == [{"a": 1}]
 
 
 def test_truncated_npz_hits_quarantine(tmp_path, tiny_incidence):

@@ -218,7 +218,7 @@ def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
                 build_index(manifest, backend=tier),
                 ServeSettings(response_cache_entries=0),
             )
-            for tier in ("ram", "mmap", "sqlite")
+            for tier in ("ram", "mmap")
         }
     finally:
         configure_cache(previous)
@@ -227,7 +227,7 @@ def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
             for query in ("", "?limit=1", "?domain=two", "?attribute=a"):
                 path = f"/v1/site/{host}/entities{query}"
                 bodies = {tier: app.handle(path) for tier, app in apps.items()}
-                assert bodies["ram"] == bodies["mmap"] == bodies["sqlite"], path
+                assert bodies["ram"] == bodies["mmap"], path
     finally:
         for app in apps.values():
             app.close()

@@ -35,7 +35,7 @@ MANIFEST = Manifest(
     traffic_sites=("imdb",),
     artifacts=(),
 )
-TIERS = ("ram", "mmap", "sqlite")
+TIERS = ("ram", "mmap")
 
 
 @pytest.fixture(autouse=True)
@@ -96,7 +96,7 @@ def test_summaries_are_byte_identical(apps):
     }
     assert len(set(payloads.values())) == 1
     # The healthz payload must not leak which tier answered.
-    assert "backend" not in apps["sqlite"].index.summary()
+    assert "backend" not in apps["mmap"].index.summary()
 
 
 def test_metrics_reports_the_backend(apps):
@@ -263,11 +263,11 @@ def test_choose_backend_scales_with_manifest_size():
         traffic_sites=(),
         artifacts=(),
     )
-    assert choose_backend(huge) == "sqlite"
+    assert choose_backend(huge) == "mmap"
 
 
 def test_backends_tuple_is_the_cli_contract():
-    assert BACKENDS == ("auto", "ram", "mmap", "sqlite")
+    assert BACKENDS == ("auto", "ram", "mmap")
 
 
 def test_build_store_requires_a_cache(tmp_path):
@@ -304,7 +304,6 @@ def test_ram_open_publishes_the_array_store_and_no_sqlite_image(tmp_path):
     assert cache.get_records(store_blob_key(identity, "meta"))
     site_ptr = store_blob_key(identity, "pair/restaurants/phone/site_ptr")
     assert cache.get_file(site_ptr, ".npy") is not None
-    assert cache.get_file(store_blob_key(identity, "sqlite"), ".sqlite") is None
     assert not list(cache.directory.rglob("*.sqlite"))
 
 
@@ -362,29 +361,10 @@ def test_ram_over_a_bounded_cache_opens_a_published_store(
         app.close()
 
 
-def test_first_sqlite_open_compiles_the_image_once(tmp_path):
-    cache = ArtifactCache(directory=tmp_path / "cache")
-    previous = configure_cache(cache)
-    try:
-        build_store(MANIFEST)
-        assert not list(cache.directory.rglob("*.sqlite"))
-        puts = cache.stats.puts
-        build_index(MANIFEST, backend="sqlite")
-        assert cache.stats.puts == puts + 1
-        key = store_blob_key(manifest_identity(MANIFEST), "sqlite")
-        assert cache.get_file(key, ".sqlite") is not None
-        puts = cache.stats.puts
-        again = build_index(MANIFEST, backend="sqlite")
-        assert cache.stats.puts == puts
-        assert again.backend == "sqlite"
-    finally:
-        configure_cache(previous)
-
-
 def test_store_blob_keys_are_stable():
     identity = manifest_identity(MANIFEST)
-    key = store_blob_key(identity, "sqlite")
-    assert key == store_blob_key(identity, "sqlite")
+    key = store_blob_key(identity, "pair/restaurants/phone/site_ptr")
+    assert key == store_blob_key(identity, "pair/restaurants/phone/site_ptr")
     assert key != store_blob_key(identity, "meta")
 
 

@@ -1,4 +1,4 @@
-"""Chaos: faults against the out-of-core store during hot reload must
+"""Chaos: faults against the compiled store during hot reload must
 never tear a response — the old epoch keeps serving, byte-identical."""
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def bump_mtime(path, seconds: float = 10.0) -> None:
     os.utime(path, (stamp, stamp))
 
 
-def sqlite_builder(manifest):
-    """The builder the CLI binds for ``--backend sqlite``."""
-    return build_index(manifest, backend="sqlite")
+def mmap_builder(manifest):
+    """The builder the CLI binds for ``--backend mmap``."""
+    return build_index(manifest, backend="mmap")
 
 
 def ram_builder(manifest):
@@ -65,9 +65,9 @@ def ram_builder(manifest):
 
 @pytest.fixture()
 def chaos_env(tmp_path, request):
-    """An app + watcher over its own artifact cache (sqlite-backed
+    """An app + watcher over its own artifact cache (mmap-backed
     unless the test parametrizes the builder)."""
-    builder = getattr(request, "param", sqlite_builder)
+    builder = getattr(request, "param", mmap_builder)
     previous = configure_cache(
         ArtifactCache(directory=tmp_path / "cache")
     )
@@ -87,7 +87,7 @@ def chaos_env(tmp_path, request):
 
 
 @pytest.mark.parametrize(
-    "chaos_env", [ram_builder, sqlite_builder], ids=["ram", "sqlite"], indirect=True
+    "chaos_env", [ram_builder, mmap_builder], ids=["ram", "mmap"], indirect=True
 )
 def test_corrupted_store_compile_keeps_the_old_epoch(
     chaos_env, monkeypatch
@@ -126,7 +126,7 @@ def test_corrupted_store_compile_keeps_the_old_epoch(
 def test_stalled_store_rebuild_never_tears_responses(
     chaos_env, monkeypatch
 ):
-    """Requests during a stalled sqlite rebuild see exactly the old or
+    """Requests during a stalled mmap rebuild see exactly the old or
     the new epoch's bytes — never a mixture, never an error."""
     run, manifest_path, app, watcher = chaos_env
     old = {path: app.handle(path) for path in PROBES}
@@ -163,7 +163,7 @@ def test_stalled_store_rebuild_never_tears_responses(
     assert swapped is True
     assert torn == []
     assert watcher.last_error is None
-    assert app.index.backend == "sqlite"
+    assert app.index.backend == "mmap"
     # The swapped epoch serves the new run's bytes from here on.
     settled = {path: app.handle(path) for path in PROBES}
     assert settled["/healthz"] != old["/healthz"]
