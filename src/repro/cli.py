@@ -449,6 +449,7 @@ def _run_id_of(path: Path) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     import time
 
     from repro.serve import ShardPlan, ShardedServer, build_index
@@ -475,9 +476,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             manifest_path=primary_path,
             settings=_serve_settings(args, args.port),
             plan=ShardPlan(
-                workers=args.workers,
-                strategy=args.strategy,
-                reload_poll_seconds=args.reload_poll,
+                workers=args.workers, reload_poll_seconds=args.reload_poll
             ),
             # Reloads (and extra-run builds) rebuild into the same tier.
             builder=lambda manifest: build_index(manifest, backend=backend),
@@ -491,21 +490,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"no manifest: {exc}", file=sys.stderr)
         return 2
     host, port = server.start()
-    if extra_runs:
-        print(f"multi-run registry: {sorted(run_ids)} (default: {run_ids[0]})")
-    shards = (
-        ""
-        if args.workers == 1
-        else f" with {args.workers} workers ({server.strategy})"
-    )
-    print(f"serving on http://{host}:{port}{shards} (Ctrl-C to stop)")
+    # SIGTERM takes Ctrl-C's path: stop() below, then exit 0.  Installed
+    # after start(), so forked workers keep the default action and
+    # stop()'s terminate() still ends them; before the banner, so a
+    # caller that waits for it can already stop the server cleanly.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        if extra_runs:
+            print(f"multi-run registry: {sorted(run_ids)} (default: {run_ids[0]})")
+        shards = "" if args.workers == 1 else f" with {args.workers} workers"
+        print(f"serving on http://{host}:{port}{shards} (Ctrl-C to stop)")
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
@@ -586,7 +587,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     server = ShardedServer(
         index=index,
         settings=_serve_settings(args, 0),
-        plan=ShardPlan(workers=args.workers, strategy=args.strategy),
+        plan=ShardPlan(workers=args.workers),
     )
     host, port = server.start()
 
@@ -1009,6 +1010,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--host", default="127.0.0.1", help="bind address")
         sub.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help="worker processes sharing the port (default: 1)",
+        )
+        sub.add_argument(
             "--deadline",
             type=float,
             default=5.0,
@@ -1061,29 +1069,12 @@ def build_parser() -> argparse.ArgumentParser:
             "'op=hang,task=serve:setcover,seconds=30'",
         )
 
-    def add_shard_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes sharing the port (default: 1)",
-        )
-        sub.add_argument(
-            "--strategy",
-            choices=("auto", "reuseport", "router"),
-            default="auto",
-            help="sharding strategy: SO_REUSEPORT kernel balancing or the "
-            "deterministic round-robin fd router (default: auto)",
-        )
-
     serve = commands.add_parser(
         "serve", help="HTTP query service over a finished run's artifacts"
     )
     serve.add_argument(
         "--port", type=int, default=8123, help="bind port (0 = ephemeral)"
     )
-    add_shard_flags(serve)
     serve.add_argument(
         "--reload-poll",
         type=float,
@@ -1164,7 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open loop: replay the largest rung once before measuring "
         "so rates report warm steady state (default: off)",
     )
-    add_shard_flags(serve_bench)
     serve_bench.add_argument(
         "--zipf-exponent",
         type=float,

@@ -38,6 +38,10 @@ _NAME_PATTERN = re.compile(r"^BENCH_PR(\d+)\.json$")
 
 def _headline(payload: dict) -> str:
     """Best-effort one-phrase summary of one bench report."""
+    stated = payload.get("headline")
+    if isinstance(stated, str) and stated:
+        # A comparison with no single-number shape states its verdict.
+        return stated
     rungs = payload.get("rungs")
     if isinstance(rungs, list) and rungs and all(
         isinstance(rung, dict) and "backend" in rung for rung in rungs

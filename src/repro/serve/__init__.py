@@ -21,9 +21,9 @@ cooperating pieces:
 - :mod:`repro.serve.fasthttp` — the one HTTP shell: pipelining
   keep-alive HTTP/1.1 (batched writes, buffer-scan parsing).
 - :mod:`repro.serve.sharding` — the host every ``repro serve`` runs
-  under: one worker in-process, or N forked workers behind one port
-  via ``SO_REUSEPORT`` (fallback: an fd-passing round-robin router),
-  each inheriting the index built once in the parent.
+  under: one worker in-process, or N forked workers, each inheriting
+  the index built once in the parent, fed round-robin by the
+  supervisor's fd-passing connection router on one port.
 - :mod:`repro.serve.reload` — manifest watching and atomic hot index
   swaps (mtime gate, config-fingerprint gate, epoch replacement).
 - :mod:`repro.serve.rcache` — an LRU response cache keyed on
@@ -72,12 +72,7 @@ from repro.serve.server import (
     ServeApp,
     ServeSettings,
 )
-from repro.serve.sharding import (
-    ShardPlan,
-    ShardedServer,
-    resolve_strategy,
-    reuseport_available,
-)
+from repro.serve.sharding import ShardPlan, ShardedServer
 
 __all__ = [
     "FastHTTPServer",
@@ -103,8 +98,6 @@ __all__ = [
     "load_manifest",
     "manifest_identity",
     "open_rate_summary",
-    "resolve_strategy",
-    "reuseport_available",
     "run_load",
     "run_open_load",
     "stream_digest",

@@ -22,9 +22,9 @@ thread-per-connection loop that
 The worker id travels on the ``X-Repro-Worker`` response header so the
 load generator can attribute every response to the shard that produced
 it.  The listening socket is injectable, which is how
-:mod:`repro.serve.sharding` hands it its listeners (``SO_REUSEPORT``
-ones for forked shards) or feeds router-dispatched connections via
-:meth:`process_connection`.
+:mod:`repro.serve.sharding` hands the in-process worker its listener;
+forked workers own no listener and are fed the connections the
+supervisor routes to them via :meth:`process_connection`.
 """
 
 from __future__ import annotations
@@ -52,14 +52,10 @@ _REASONS = {
 _TERMINATOR = b"\r\n\r\n"
 
 
-def listen(
-    host: str, port: int, backlog: int = 512, reuseport: bool = False
-) -> socket.socket:
-    """A TCP listener on ``host:port`` (``SO_REUSEPORT`` to share it)."""
+def listen(host: str, port: int, backlog: int = 512) -> socket.socket:
+    """A TCP listener on ``host:port``."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    if reuseport:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     sock.bind((host, port))
     sock.listen(backlog)
     return sock
@@ -80,11 +76,11 @@ class FastHTTPServer:
         Args:
             app: The request handler (owns routing/caching/metrics).
             sock: An already-bound, already-listening socket to accept
-                on (the sharding layer passes its listeners here).
+                on (the sharding layer passes its listener here).
                 ``None`` binds ``app.settings.host:port``.
             backlog: Listen backlog when this class does the binding.
             bind: ``False`` creates a socketless server fed exclusively
-                through :meth:`process_connection` (router workers).
+                through :meth:`process_connection` (forked workers).
         """
         self.app = app
         if sock is None and bind:

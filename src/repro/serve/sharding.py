@@ -14,24 +14,21 @@ Whether to fork follows from the worker count:
   fork, so it works on platforms without ``fork`` and leaves the
   caller's garbage collector alone;
 - **N > 1 workers** are forked children that inherit the index
-  copy-on-write and sit behind one ``host:port`` using whichever
-  kernel facility is available:
+  copy-on-write.  The supervisor owns the only listening socket (each
+  worker closes its inherited copy) and passes each accepted
+  connection's file descriptor to a worker over a Unix socketpair
+  (``SCM_RIGHTS`` via :func:`socket.send_fds`), strictly round-robin
+  in accept order.  Workers serve the connection through
+  :meth:`~repro.serve.fasthttp.FastHTTPServer.process_connection`.
+  Round-robin dispatch makes per-worker request attribution
+  reproducible and spreads even two keep-alive connections over two
+  workers (``docs/serving.md`` records why this is the one mechanism).
 
-  - **reuseport** (preferred): each worker binds the same port with
-    ``SO_REUSEPORT`` and accepts for itself; the kernel load-balances
-    new connections across the listening shards with no userspace
-    hop.  The parent holds a bound-but-not-listening ``SO_REUSEPORT``
-    socket purely to reserve the port (it never receives connections
-    — only listeners do), which makes ephemeral ``--port 0`` work
-    across processes.
-  - **router** (fallback, and the deterministic mode): the parent owns
-    the only listening socket and passes each accepted connection's
-    file descriptor to a worker over a Unix socketpair
-    (``SCM_RIGHTS`` via :func:`socket.send_fds`), strictly round-robin
-    in accept order.  Workers serve the connection through
-    :meth:`~repro.serve.fasthttp.FastHTTPServer.process_connection`.
-    Round-robin dispatch is what makes per-worker request attribution
-    reproducible — the shard-determinism tests run in this mode.
+Lifecycle of a forked deployment: the supervisor holds the far end of
+every worker's channel, so when it exits — through
+:meth:`ShardedServer.stop` or killed by any signal — each worker reads
+EOF and exits.  A worker that dies leaves the rotation; its share of
+new connections goes to the live workers, and nothing respawns it.
 
 Forked supervision needs ``fork``: worker entry points are bound
 methods, which only works because ``fork`` inherits state instead of
@@ -45,6 +42,7 @@ import errno
 import gc
 import multiprocessing
 import os
+import signal
 import socket
 import threading
 from dataclasses import dataclass
@@ -56,42 +54,9 @@ from repro.serve.reload import ManifestWatcher
 from repro.serve.server import RunRouter, ServeApp, ServeSettings
 from repro.store.backend import QueryIndex
 
-__all__ = [
-    "ShardPlan",
-    "ShardedServer",
-    "reuseport_available",
-    "resolve_strategy",
-]
+__all__ = ["ShardPlan", "ShardedServer"]
 
-_STRATEGIES = ("auto", "reuseport", "router")
 _READY_TIMEOUT = 60.0
-
-
-def reuseport_available() -> bool:
-    """True when this platform can bind multiple listeners to one port."""
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    except OSError:
-        return False
-    finally:
-        probe.close()
-    return True
-
-
-def resolve_strategy(strategy: str) -> str:
-    """Map ``auto`` to the best available sharding strategy."""
-    if strategy not in _STRATEGIES:
-        raise ValueError(
-            f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-        )
-    if strategy == "auto":
-        return "reuseport" if reuseport_available() else "router"
-    if strategy == "reuseport" and not reuseport_available():
-        raise ValueError("SO_REUSEPORT is not available on this platform")
-    return strategy
 
 
 def _freeze_gc() -> None:
@@ -115,27 +80,19 @@ class ShardPlan:
 
     Attributes:
         workers: Workers to run (>= 1); one runs in-process, more are
-            forked.
-        strategy: How forked workers share the port: ``auto``
-            (reuseport when the kernel has it, else router),
-            ``reuseport``, or ``router``.
+            forked behind the supervisor's connection router.
         reload_poll_seconds: Manifest poll interval for hot index
             reload; 0 disables the watcher.
-        backlog: Listen backlog (per listener).
+        backlog: Listen backlog.
     """
 
     workers: int = 2
-    strategy: str = "auto"
     reload_poll_seconds: float = 0.0
     backlog: int = 512
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}"
-            )
         if self.reload_poll_seconds < 0:
             raise ValueError("reload_poll_seconds must be >= 0")
         if self.backlog < 1:
@@ -163,7 +120,7 @@ class ShardedServer:
             manifest_path: The run directory or ``manifest.json``;
                 required when ``index`` is None or hot reload is on.
             settings: Per-worker :class:`ServeSettings` (host/port/...).
-            plan: Shard count, strategy, reload cadence.
+            plan: Shard count, reload cadence, backlog.
             builder: ``manifest -> index`` callable for building and
                 hot-reloading indices; defaults to
                 :func:`~repro.serve.indices.build_index`.  The CLI
@@ -184,7 +141,6 @@ class ShardedServer:
         """
         self.settings = settings or ServeSettings()
         self.plan = plan or ShardPlan()
-        self.strategy = resolve_strategy(self.plan.strategy)
         self.manifest_path = (
             None if manifest_path is None else Path(manifest_path)
         )
@@ -215,7 +171,6 @@ class ShardedServer:
         self._watchers: list[ManifestWatcher] = []
         self._processes: list = []
         self._channels: list[socket.socket] = []
-        self._reserve: socket.socket | None = None
         self._listener: socket.socket | None = None
         self._router_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -263,46 +218,26 @@ class ShardedServer:
                 "which this platform lacks; serve with one worker"
             )
         ctx = multiprocessing.get_context("fork")
-        if self.strategy == "reuseport":
-            # Reserve the port without listening: bound non-listening
-            # sockets never receive connections, but they pin an
-            # ephemeral port so every worker can bind the same number.
-            self._reserve = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._reserve.bind((host, port))
-            host, port = self._reserve.getsockname()[:2]
-        else:
-            self._listener = listen(host, port, self.plan.backlog)
-            host, port = self._listener.getsockname()[:2]
-        self.server_address = (host, port)
+        self._listener = listen(host, port, self.plan.backlog)
+        self.server_address = self._listener.getsockname()[:2]
 
         ready_events = []
         for worker_id in range(self.plan.workers):
             ready = ctx.Event()
             ready_events.append(ready)
-            if self.strategy == "reuseport":
-                process = ctx.Process(
-                    target=self._worker_reuseport,
-                    args=(worker_id, host, port, ready),
-                    daemon=True,
-                    name=f"serve-shard-{worker_id}",
-                )
-            else:
-                parent_end, child_end = socket.socketpair(
-                    socket.AF_UNIX, socket.SOCK_STREAM
-                )
-                self._channels.append(parent_end)
-                process = ctx.Process(
-                    target=self._worker_router,
-                    args=(worker_id, child_end, ready),
-                    daemon=True,
-                    name=f"serve-shard-{worker_id}",
-                )
+            parent_end, child_end = socket.socketpair(
+                socket.AF_UNIX, socket.SOCK_STREAM
+            )
+            self._channels.append(parent_end)
+            process = ctx.Process(
+                target=self._worker,
+                args=(worker_id, child_end, ready),
+                daemon=True,
+                name=f"serve-shard-{worker_id}",
+            )
             process.start()
             self._processes.append(process)
-            if self.strategy == "router":
-                child_end.close()  # the worker owns its end now
+            child_end.close()  # the worker owns its end now
 
         for worker_id, ready in enumerate(ready_events):
             if not ready.wait(timeout=_READY_TIMEOUT):
@@ -312,28 +247,36 @@ class ShardedServer:
                     f"worker {worker_id} never became ready "
                     f"(exitcode {exitcode})"
                 )
-        if self.strategy == "router":
-            self._router_thread = threading.Thread(
-                target=self._route_accepts, daemon=True, name="serve-router"
-            )
-            self._router_thread.start()
-        return (host, port)
+        self._router_thread = threading.Thread(
+            target=self._route_accepts, daemon=True, name="serve-router"
+        )
+        self._router_thread.start()
+        return self.server_address
 
     def _route_accepts(self) -> None:
-        """Accept loop: hand each connection fd to workers round-robin."""
+        """Accept loop: hand each connection fd to live workers round-robin.
+
+        A channel that refuses the fd belongs to a dead worker: it
+        leaves the rotation and the same connection goes to the next
+        live worker.  Only when no worker is left is it closed unanswered.
+        """
         assert self._listener is not None
+        channels = list(self._channels)
         turn = 0
         while not self._stopping.is_set():
             try:
                 conn, __ = self._listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            channel = self._channels[turn % len(self._channels)]
-            turn += 1
-            try:
-                socket.send_fds(channel, [b"c"], [conn.fileno()])
-            except OSError:
-                pass  # worker died; supervisor keeps routing to the rest
+            while channels:
+                turn %= len(channels)
+                try:
+                    socket.send_fds(channels[turn], [b"c"], [conn.fileno()])
+                except OSError:
+                    del channels[turn]  # route around the dead worker
+                    continue
+                turn += 1
+                break
             conn.close()  # the worker holds its own duplicate now
 
     def stop(self) -> None:
@@ -347,7 +290,7 @@ class ShardedServer:
             self._server.app.close()
             self._server = self._server_thread = None
             self._watchers = []
-        if self._listener is not None and self.server_address is not None:
+        if self._listener is not None:
             # Wake the router's accept() so it observes the stop flag;
             # close() alone does not interrupt a parked accept.
             try:
@@ -355,14 +298,11 @@ class ShardedServer:
                     pass
             except OSError:
                 pass
-        for sock in (self._listener, self._reserve):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        self._listener = None
-        self._reserve = None
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+            self._listener = None
         if self._router_thread is not None:
             self._router_thread.join(timeout=5.0)
             self._router_thread = None
@@ -420,29 +360,23 @@ class ShardedServer:
             handler = RunRouter(apps, self.default_run)
         return handler, watchers
 
-    def _worker_reuseport(
-        self, worker_id: int, host: str, port: int, ready
-    ) -> None:
-        """Forked worker body: own SO_REUSEPORT listener, own accept loop."""
-        sock = listen(host, port, self.plan.backlog, reuseport=True)
-        app, __ = self._worker_app(worker_id)
-        _freeze_gc()
-        server = FastHTTPServer(app, sock)
-        ready.set()
-        server.serve_forever()
+    def _worker(self, worker_id: int, channel: socket.socket, ready) -> None:
+        """Forked worker body: serve connections passed over ``channel``.
 
-    def _worker_router(self, worker_id: int, channel: socket.socket, ready) -> None:
-        """Forked worker body: serve connections passed over ``channel``."""
-        # CONC003 suppressed: touching the pre-fork channel sockets here
-        # is deliberate fork-fd hygiene — the child closes every
-        # inherited parent-side end precisely SO that no fork-unsafe fd
-        # outlives the fork; without this, a dead worker's channel never
-        # reads EOF and its siblings hang on shutdown.
-        for parent_end in self._channels:  # reprolint: disable=CONC003
-            # Fork copied every earlier worker's parent-side channel
-            # into this child; close them so EOF propagates correctly.
+        Exits when ``channel`` reads EOF, which happens once the
+        supervisor closes it in :meth:`stop` or dies.  A terminal's
+        Ctrl-C reaches the whole process group; the worker ignores it
+        and leaves the stopping to its supervisor.
+        """
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # CONC003 suppressed: touching the pre-fork sockets here is
+        # deliberate fork-fd hygiene — the child closes its inherited
+        # copy of the listener and of every parent-side channel end, so
+        # the supervisor holds the only ones: its exit, by any means,
+        # frees the port and reads as EOF on every worker's channel.
+        for sock in (self._listener, *self._channels):  # reprolint: disable=CONC003
             try:
-                parent_end.close()
+                sock.close()
             except OSError:
                 pass
         app, __ = self._worker_app(worker_id)

@@ -260,7 +260,7 @@ def test_serve_bench_open_loop_sharded_run(serve_artifacts, tmp_path, capsys):
         [
             "serve-bench", str(serve_artifacts),
             "--mode", "open", "--rate", "500", "--duration", "0.5",
-            "--connections", "2", "--workers", "2", "--strategy", "router",
+            "--connections", "2", "--workers", "2",
             "--report", str(report), "--no-cache",
         ]
     ) == 0
@@ -280,7 +280,7 @@ def test_serve_bench_open_loop_sweep_reports_knee(serve_artifacts, tmp_path, cap
         [
             "serve-bench", str(serve_artifacts),
             "--mode", "open", "--duration", "0.4", "--connections", "2",
-            "--workers", "2", "--strategy", "router",
+            "--workers", "2",
             "--sweep", "200,400", "--p99-budget-ms", "5000",
             "--report", str(report), "--no-cache",
         ]
@@ -309,7 +309,7 @@ def test_serve_bench_open_loop_warmup_is_recorded(
         [
             "serve-bench", str(serve_artifacts),
             "--mode", "open", "--rate", "400", "--duration", "0.5",
-            "--connections", "2", "--workers", "2", "--strategy", "router",
+            "--connections", "2", "--workers", "2",
             "--warmup", "on",
             "--report", str(report), "--no-cache",
         ]

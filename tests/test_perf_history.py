@@ -222,6 +222,13 @@ def test_collect_summarises_paired_end_to_end_runs(tmp_path):
     )
 
 
+def test_report_may_state_its_own_headline(tmp_path):
+    payload = {**PR7_SHAPE, "headline": "router kept: knee 5000 vs 2000"}
+    (tmp_path / "BENCH_PR5.json").write_text(json.dumps(payload))
+    (row,) = collect_bench_rows(tmp_path)
+    assert row["headline"] == "router kept: knee 5000 vs 2000"
+
+
 def test_reports_without_rss_render_a_dash(tmp_path):
     _write_reports(tmp_path)
     rows = collect_bench_rows(tmp_path)

@@ -159,7 +159,7 @@ def test_sharded_server_serves_extra_runs(tmp_path):
     server = ShardedServer(
         manifest_path=alpha,
         settings=ServeSettings(port=0),
-        plan=ShardPlan(workers=2, strategy="router"),
+        plan=ShardPlan(workers=2),
         extra_runs={"beta": beta},
         default_run="alpha",
     )

@@ -221,9 +221,7 @@ def test_sharded_workers_hot_reload_from_manifest(run_dir):
         index=build_index(load_manifest(run_dir)),
         manifest_path=run_dir,
         settings=ServeSettings(host="127.0.0.1", port=0),
-        plan=ShardPlan(
-            workers=2, strategy="router", reload_poll_seconds=0.1
-        ),
+        plan=ShardPlan(workers=2, reload_poll_seconds=0.1),
     )
     host, port = server.start()
 

@@ -1,20 +1,29 @@
-"""repro.serve.sharding + fasthttp: byte identity, determinism, protocol."""
+"""repro.serve.sharding + fasthttp: bytes, determinism, protocol, lifecycle."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import http.client
 import json
 import multiprocessing
 import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.runall import write_manifest
 from repro.serve import ServeApp, ServeSettings, WORKER_HEADER
-from repro.serve.fasthttp import FastHTTPServer
+from repro.serve.fasthttp import FastHTTPServer, listen
 from repro.serve.indices import Manifest, build_index
 from repro.serve.loadgen import (
     OpenLoadPlan,
@@ -22,12 +31,7 @@ from repro.serve.loadgen import (
     build_streams,
     run_open_load,
 )
-from repro.serve.sharding import (
-    ShardPlan,
-    ShardedServer,
-    resolve_strategy,
-    reuseport_available,
-)
+from repro.serve.sharding import ShardPlan, ShardedServer
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
 
@@ -86,28 +90,16 @@ def _get_bodies(host, port, paths, keep_alive=True):
     return bodies, workers
 
 
-# -- plan / strategy units ----------------------------------------------------
+# -- plan units ----------------------------------------------------------------
 
 
 def test_shard_plan_validation():
     with pytest.raises(ValueError):
         ShardPlan(workers=0)
     with pytest.raises(ValueError):
-        ShardPlan(strategy="carrier-pigeon")
-    with pytest.raises(ValueError):
         ShardPlan(reload_poll_seconds=-1.0)
     with pytest.raises(ValueError):
         ShardPlan(backlog=0)
-
-
-def test_resolve_strategy():
-    with pytest.raises(ValueError):
-        resolve_strategy("bogus")
-    assert resolve_strategy("router") == "router"
-    assert resolve_strategy("auto") in ("reuseport", "router")
-    if reuseport_available():
-        assert resolve_strategy("reuseport") == "reuseport"
-        assert resolve_strategy("auto") == "reuseport"
 
 
 def test_sharded_server_needs_index_or_manifest():
@@ -219,11 +211,11 @@ def test_fasthttp_socketless_refuses_serve_forever(index):
 # -- ShardedServer: one worker in-process, more forked -------------------------
 
 
-def _start(index, workers, strategy):
+def _start(index, workers):
     server = ShardedServer(
         index=index,
         settings=ServeSettings(host="127.0.0.1", port=0),
-        plan=ShardPlan(workers=workers, strategy=strategy),
+        plan=ShardPlan(workers=workers),
     )
     host, port = server.start()
     return server, host, port
@@ -231,7 +223,7 @@ def _start(index, workers, strategy):
 
 def test_one_worker_serves_in_process(index, expected_bodies):
     children = set(multiprocessing.active_children())
-    server, host, port = _start(index, 1, "auto")
+    server, host, port = _start(index, 1)
     try:
         assert server.worker_pids() == [os.getpid()]
         assert set(multiprocessing.active_children()) == children
@@ -248,21 +240,21 @@ def test_one_worker_serves_in_process(index, expected_bodies):
 def test_one_worker_needs_no_fork(index, expected_bodies, monkeypatch):
     methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    server, host, port = _start(index, 1, "auto")
+    server, host, port = _start(index, 1)
     try:
         bodies, __ = _get_bodies(host, port, PROBE_PATHS)
     finally:
         server.stop()
     assert bodies == [expected_bodies[p] for p in PROBE_PATHS]
     with pytest.raises(RuntimeError, match="fork start method"):
-        _start(index, 2, "auto")
+        _start(index, 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_responses_byte_identical_across_worker_counts(
     index, expected_bodies, workers
 ):
-    server, host, port = _start(index, workers, "auto")
+    server, host, port = _start(index, workers)
     try:
         bodies, __ = _get_bodies(host, port, PROBE_PATHS)
     finally:
@@ -273,7 +265,7 @@ def test_responses_byte_identical_across_worker_counts(
 def test_responses_byte_identical_with_and_without_keep_alive(
     index, expected_bodies
 ):
-    server, host, port = _start(index, 2, "auto")
+    server, host, port = _start(index, 2)
     try:
         pooled, __ = _get_bodies(host, port, PROBE_PATHS, keep_alive=True)
         fresh, __ = _get_bodies(host, port, PROBE_PATHS, keep_alive=False)
@@ -285,7 +277,7 @@ def test_responses_byte_identical_with_and_without_keep_alive(
 
 
 def test_router_round_robin_attribution_is_deterministic(index):
-    server, host, port = _start(index, 3, "router")
+    server, host, port = _start(index, 3)
     try:
         seen = []
         for __ in range(7):
@@ -310,7 +302,7 @@ def test_open_loop_attribution_reproducible_across_runs(index):
     streams = build_streams(summary, plan.closed_plan())
     schedules = build_open_schedule(plan)
 
-    server, host, port = _start(index, 2, "router")
+    server, host, port = _start(index, 2)
     try:
         first = run_open_load(host, port, streams, schedules, plan.rate)
         second = run_open_load(host, port, streams, schedules, plan.rate)
@@ -325,7 +317,7 @@ def test_open_loop_attribution_reproducible_across_runs(index):
 
 
 def test_worker_metrics_report_worker_id(index):
-    server, host, port = _start(index, 2, "router")
+    server, host, port = _start(index, 2)
     try:
         connection = http.client.HTTPConnection(host, port, timeout=30)
         connection.request("GET", "/metrics")
@@ -337,3 +329,191 @@ def test_worker_metrics_report_worker_id(index):
         server.stop()
     assert str(payload["worker"]) == header
     assert payload["index_fingerprint"] == index.identity
+
+
+# -- lifecycle of a forked deployment -------------------------------------------
+#
+# Each check polls for up to _LIFECYCLE_BOUND_S.  Workers were measured gone
+# within 0.2 s of their supervisor; the bound is generous so that the verdict
+# does not depend on host speed.
+
+_LIFECYCLE_BOUND_S = 30.0
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads process state from /proc"
+)
+
+
+def _eventually(check, interval=0.05):
+    """Poll ``check`` for about _LIFECYCLE_BOUND_S; True once it holds."""
+    for __ in range(int(_LIFECYCLE_BOUND_S / interval)):
+        if check():
+            return True
+        time.sleep(interval)
+    return check()
+
+
+def _proc_stat(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie waiting to be reaped."""
+    fields = _proc_stat(pid)
+    return fields is None or fields[0] == "Z"
+
+
+def _children(pid):
+    """PIDs of the live processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        fields = _proc_stat(entry) if entry.isdigit() else None
+        if fields is not None and fields[0] != "Z" and int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _port_free(port):
+    """True when a new server could listen on ``127.0.0.1:port``."""
+    try:
+        listen("127.0.0.1", port).close()
+    except OSError:
+        return False
+    return True
+
+
+def _fresh_get(host, port):
+    """One GET /healthz on its own connection; returns (status, worker)."""
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        response.read()
+        return response.status, response.getheader(WORKER_HEADER)
+    finally:
+        connection.close()
+
+
+def _python(*argv, **popen):
+    """Start ``python -u *argv`` with this checkout's ``repro`` importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-u", *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+        **popen,
+    )
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """A run directory whose manifest serves MANIFEST's pair and site."""
+    root = tmp_path_factory.mktemp("lifecycle-run")
+    path = write_manifest(root, CONFIG, [])
+    payload = json.loads(path.read_text())
+    payload["spread_pairs"] = [list(pair) for pair in MANIFEST.spread_pairs]
+    payload["traffic_sites"] = list(MANIFEST.traffic_sites)
+    path.write_text(json.dumps(payload))
+    return root
+
+
+@contextlib.contextmanager
+def _serving_two_workers(run_dir, **popen):
+    """``repro serve RUN --workers 2 --port 0``; yields (process, port, workers)."""
+    serve = _python(
+        "-m", "repro", "serve", str(run_dir),
+        "--workers", "2", "--port", "0", "--no-cache",
+        **popen,
+    )
+    try:
+        banner = ""
+        while "serving on" not in banner:
+            banner = serve.stdout.readline()
+            assert banner, "repro serve exited before serving"
+        port = int(re.search(r":(\d+) with 2 workers", banner).group(1))
+        workers = _children(serve.pid)
+        assert len(workers) == 2, workers
+        assert _fresh_get("127.0.0.1", port)[0] == 200
+        yield serve, port, workers
+    finally:
+        serve.kill()
+        serve.wait()
+        for stream in (serve.stdout, serve.stderr):
+            if stream is not None:
+                stream.close()
+
+
+@needs_proc
+def test_sigterm_stops_supervisor_and_workers(run_dir):
+    with _serving_two_workers(run_dir) as (serve, port, workers):
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=_LIFECYCLE_BOUND_S) == 0
+    assert _eventually(lambda: all(_exited(pid) for pid in workers))
+    assert _eventually(lambda: _port_free(port))
+
+
+@needs_proc
+def test_ctrl_c_stops_workers_without_tracebacks(run_dir):
+    """A terminal's Ctrl-C sends SIGINT to the whole process group."""
+    with _serving_two_workers(
+        run_dir, stderr=subprocess.PIPE, start_new_session=True
+    ) as (serve, port, workers):
+        os.killpg(serve.pid, signal.SIGINT)
+        assert serve.wait(timeout=_LIFECYCLE_BOUND_S) == 0
+        assert _eventually(lambda: all(_exited(pid) for pid in workers))
+        assert "Traceback" not in serve.stderr.read()
+    assert _eventually(lambda: _port_free(port))
+
+
+_SUPERVISOR = """
+import json, sys, time
+from repro.serve import ServeSettings, ShardPlan, ShardedServer
+server = ShardedServer(
+    manifest_path=sys.argv[1],
+    settings=ServeSettings(host="127.0.0.1", port=0),
+    plan=ShardPlan(workers=2),
+)
+host, port = server.start()
+print(json.dumps({"port": port, "pids": server.worker_pids()}))
+time.sleep(600)
+"""
+
+
+@needs_proc
+def test_workers_exit_when_supervisor_is_killed(run_dir):
+    supervisor = _python("-c", _SUPERVISOR, str(run_dir))
+    try:
+        started = json.loads(supervisor.stdout.readline())
+        port, workers = started["port"], started["pids"]
+        assert len(workers) == 2
+        assert _fresh_get("127.0.0.1", port)[0] == 200
+    finally:
+        supervisor.kill()  # SIGKILL: no handler runs, stop() never does
+        supervisor.wait()
+        supervisor.stdout.close()
+    assert _eventually(lambda: all(_exited(pid) for pid in workers))
+    assert _eventually(lambda: _port_free(port))
+
+
+@pytest.mark.parametrize(
+    ("workers", "expected"),
+    [(2, ["1"] * 8), (3, ["1", "2"] * 4)],
+    ids=["2-workers", "3-workers"],
+)
+def test_dead_worker_is_routed_around(index, workers, expected):
+    """After SIGKILL on worker 0, the rest answer every connection in turn."""
+    server, host, port = _start(index, workers)
+    try:
+        victim = server.worker_pids()[0]  # worker 0
+        os.kill(victim, signal.SIGKILL)
+        assert _eventually(lambda: victim not in server.worker_pids())
+        answers = [_fresh_get(host, port) for __ in range(8)]
+    finally:
+        server.stop()
+    assert answers == [(200, worker) for worker in expected]
