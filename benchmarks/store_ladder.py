@@ -6,9 +6,12 @@ Serves one run at the ``ladder`` scale (100k entities — past the
 alone.  The store blobs are compiled once up front, so both rungs
 measure pure open-and-serve cost against a warm artifact cache.
 
-Each rung drives the same seeded closed-loop request mix and records
-throughput, latency percentiles, and the server's resident high-water
-mark (``VmHWM``).  The report passes when the mmap tier holds
+Each rung drives the same seeded closed-loop request mix, set cover
+included, and records throughput, latency percentiles, and the
+server's resident high-water mark (``VmHWM``).  The report passes when
+every request answers 200, the whole ``/v1/setcover`` bodies at
+budgets 1, 10 and 500 are byte-identical across tiers, and the mmap
+tier holds
 
 - peak RSS at or below ``rss_ratio_max`` (50%) of the RAM tier's, and
 - p99 latency within ``p99_ratio_max`` (5x) of the RAM tier's.
@@ -26,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import http.client
 import json
 import os
@@ -53,6 +57,8 @@ from repro.store import Manifest, build_store  # noqa: E402
 TIERS = ("ram", "mmap")
 RSS_RATIO_MAX = 0.5
 P99_RATIO_MAX = 5.0
+#: /v1/setcover budgets whose whole bodies must match across tiers.
+SETCOVER_BUDGETS = (1, 10, 500)
 
 # Runs in a fresh interpreter per tier: opens the run with one backend,
 # prints the bound port as JSON, then serves until killed.
@@ -127,19 +133,19 @@ def spawn_server(run: Path, cache: Path, backend: str) -> tuple[subprocess.Popen
     return process, int(json.loads(line)["port"])
 
 
-def fetch(port: int, path: str) -> dict:
-    """One GET against the freshly bound server, parsed as JSON."""
+def fetch_body(port: int, path: str) -> bytes:
+    """One GET against the freshly bound server: the raw body."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
     try:
         connection.request("GET", path)
-        return json.loads(connection.getresponse().read())
+        return connection.getresponse().read()
     finally:
         connection.close()
 
 
 def fetch_summary(port: int) -> dict:
     """GET /healthz from the freshly bound server."""
-    return fetch(port, "/healthz")
+    return json.loads(fetch_body(port, "/healthz"))
 
 
 def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
@@ -149,25 +155,21 @@ def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
     process, port = spawn_server(run, cache, backend)
     ready_seconds = time.perf_counter() - started
     try:
-        # Set cover scans the whole incidence per call — an analytical
-        # batch job, not a point read.  It stays out of the latency
-        # race (it would page the entire mmap in and mask the RSS
-        # story) but every rung must still answer it correctly once.
-        streams = [
-            [path for path in stream if not path.startswith("/v1/setcover")]
-            for stream in build_streams(fetch_summary(port), plan)
-        ]
+        streams = build_streams(fetch_summary(port), plan)
         print(
             f"[{backend}] port {port}, ready in {ready_seconds:.1f}s, "
             f"stream sha256 {stream_digest(streams)[:12]}",
             flush=True,
         )
         result = run_load("127.0.0.1", port, streams)
-        # VmHWM must be read while the server process is still alive,
-        # and before the setcover probe (which deliberately pages the
-        # whole incidence in and would mask the read-path RSS story).
+        # VmHWM must be read while the server process is still alive.
         rss_mb = rss_high_water_mb(process.pid)
-        setcover_body = fetch(port, "/v1/setcover/restaurants?budget=5")
+        setcover_sha256 = {
+            str(budget): hashlib.sha256(
+                fetch_body(port, f"/v1/setcover/restaurants?budget={budget}")
+            ).hexdigest()
+            for budget in SETCOVER_BUDGETS
+        }
     finally:
         process.terminate()
         process.wait(timeout=10)
@@ -179,7 +181,7 @@ def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
         "requests": result.total_requests,
         "throughput_rps": round(result.throughput_rps, 1),
         "statuses": result.statuses,
-        "setcover_coverage": setcover_body.get("coverage"),
+        "setcover_sha256": setcover_sha256,
         "latency_ms": latency_summary(samples),
         "per_endpoint": {
             endpoint: latency_summary(latencies)
@@ -205,7 +207,9 @@ def evaluate(rungs: list[dict]) -> dict:
     ok = rss_ratios["mmap"] <= RSS_RATIO_MAX and p99_ratios["mmap"] <= P99_RATIO_MAX
     for rung in rungs:
         ok = ok and set(rung["statuses"]) == {"200"}
-    setcover_agrees = len({rung["setcover_coverage"] for rung in rungs}) == 1
+    setcover_agrees = all(
+        rung["setcover_sha256"] == rungs[0]["setcover_sha256"] for rung in rungs
+    )
     ok = ok and setcover_agrees
     return {
         "rss_ratio_max": RSS_RATIO_MAX,

@@ -84,13 +84,19 @@ def k_coverage_curves(
         ks: Redundancy levels (the paper uses 1..10).
         checkpoints: Site counts at which to record coverage; defaults
             to a log-spaced grid matching the paper's log-x plots.
-        order: Site ranking (site indices, best first); defaults to the
-            paper's decreasing-entity-count order.
+        order: Site ranking (distinct site indices, best first);
+            defaults to the paper's decreasing-entity-count order.
+            Sites left out of it are never counted.
 
     Returns:
-        The recorded curves.  Complexity is O(E + |checkpoints| * |ks|):
-        a single pass over edges maintains, for every k, the running
-        count of entities mentioned at least k times.
+        The recorded curves.  Array operations throughout, O(E log E)
+        for one sort of the ranked edges by (entity, rank) plus
+        O(|ks| * (n_entities + |order|)): an entity is covered k times
+        from the rank of its k-th mention on.
+
+    Raises:
+        ValueError: Bad ``ks`` or checkpoints, or ``order`` repeats a
+            site.
     """
     ks = tuple(int(k) for k in ks)
     if not ks or any(k < 1 for k in ks):
@@ -109,29 +115,30 @@ def k_coverage_curves(
             raise ValueError("checkpoints must lie in [1, n_ranked_sites]")
 
     n = incidence.n_entities
-    kmax = max(ks)
-    counts = np.zeros(n, dtype=np.int64)
-    # reached[j] = number of entities mentioned >= j times so far (j in 1..kmax)
-    reached = np.zeros(kmax + 2, dtype=np.int64)
+    n_ranked = len(order)
+    # rank[s]: 1-based position of site s in the order, 0 if unranked.
+    rank = np.zeros(incidence.n_sites, dtype=np.int64)
+    rank[order] = np.arange(1, n_ranked + 1, dtype=np.int64)
+    if np.count_nonzero(rank) != n_ranked:
+        raise ValueError("order must not repeat a site")
+    # Every ranked edge as one (entity, rank) key, sorted: each
+    # entity's mentions in the order its sites are ranked.
+    edge_rank = np.repeat(rank, incidence.site_sizes())
+    ranked = edge_rank > 0
+    entities = incidence.entity_idx[ranked]
+    mentions = np.bincount(entities, minlength=n)
+    first = np.cumsum(mentions) - mentions
+    keys = entities * (n_ranked + 1)
+    keys += edge_rank[ranked]
+    keys.sort()
     coverage = np.zeros((len(ks), len(checkpoint_arr)))
-    next_checkpoint = 0
     denominator = max(n, 1)
-
-    for t, site in enumerate(order, start=1):
-        entities = incidence.site_entities(int(site))
-        if len(entities):
-            new_counts = counts[entities] + 1
-            counts[entities] = new_counts
-            hits = new_counts[new_counts <= kmax]
-            if len(hits):
-                np.add.at(reached, hits, 1)
-        while (
-            next_checkpoint < len(checkpoint_arr)
-            and checkpoint_arr[next_checkpoint] == t
-        ):
-            for row, k in enumerate(ks):
-                coverage[row, next_checkpoint] = reached[k] / denominator
-            next_checkpoint += 1
+    for row, k in enumerate(ks):
+        # An entity reaches k mentions at the rank of its k-th one; the
+        # running count of those ranks is the entities covered k times.
+        kth = keys[first[mentions >= k] + (k - 1)] % (n_ranked + 1)
+        reached = np.cumsum(np.bincount(kth, minlength=n_ranked + 1))
+        coverage[row] = reached[checkpoint_arr] / denominator
 
     return CoverageCurves(
         checkpoints=checkpoint_arr, ks=ks, coverage=coverage, order=order

@@ -30,7 +30,7 @@ cooperating pieces:
   :func:`repro.perf.fingerprint` digests; responses are byte-identical
   with and without it.
 - :mod:`repro.serve.batcher` — a micro-batcher that coalesces
-  concurrent identical queries (one greedy set-cover run serves every
+  concurrent identical queries (one computation serves every
   simultaneous requester).
 - :mod:`repro.serve.loadgen` — seeded load generators
   (``repro serve-bench``): the PR4-compatible closed loop and the

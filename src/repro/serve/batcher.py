@@ -1,8 +1,8 @@
 """Micro-batching of concurrent identical queries (single-flight).
 
-Expensive read-only queries (greedy set cover over a whole domain) are
-classic thundering-herd targets: when a result falls out of the
-response cache, every concurrent requester would recompute it.
+Read-only queries are classic thundering-herd targets: when a result
+falls out of the response cache, every concurrent requester would
+recompute it.
 ``MicroBatcher`` coalesces them — the first requester for a key becomes
 the *leader* and schedules the computation on the server's worker pool;
 everyone else arriving while it is in flight shares the same

@@ -71,8 +71,8 @@ __all__ = [
     "write_open_bench_report",
 ]
 
-#: Endpoint mix (weights sum to 100): reads dominate, set cover is the
-#: expensive minority that exercises batching and caching.
+#: Endpoint mix (weights sum to 100): point reads dominate, and set
+#: cover (a slice of the compiled greedy order) is a tenth of it.
 _ENDPOINT_WEIGHTS = (
     ("entity", 40),
     ("site", 20),

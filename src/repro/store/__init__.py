@@ -3,11 +3,14 @@
 The paper's corpus is web-scale; an in-RAM CSR index caps catalog size
 at memory.  :func:`build_store` compiles a run manifest once into
 cache-addressed array blobs (CSR both ways, the dense coverage table,
-host/id strings with their sort orders, demand bins), and two tiers
-open them, both rendering byte-identical ``/v1/*`` responses through
-the one :class:`~repro.store.mmapcsr.ArrayPair`: ``ram`` loads the
-blobs whole, and ``mmap`` maps them with ``mmap_mode="r"`` so a corpus
-past the RAM threshold costs only the pages its queries touch.
+the full greedy set-cover order with its gains, host/id strings with
+their sort orders, demand bins), and two tiers open them, both
+rendering byte-identical ``/v1/*`` responses through the one
+:class:`~repro.store.mmapcsr.ArrayPair`: ``ram`` loads the blobs whole,
+as published, and ``mmap`` maps them with ``mmap_mode="r"`` so a
+corpus past the RAM threshold costs only the pages its queries touch.
+No answer is computed per request; set cover is a slice of the
+compiled greedy order.
 
 Layering: ``store`` sits *below* ``serve`` (it may import ``core``,
 ``perf``, ``pipeline``, ``resilience``; never the HTTP tier) so the
@@ -16,7 +19,6 @@ compiler can run inside ``repro all`` without dragging in a server.
 
 from repro.store.backend import (
     BACKENDS,
-    CsrView,
     QueryIndex,
     choose_backend,
     open_backend,
@@ -34,7 +36,6 @@ from repro.store.mmapcsr import ArrayPair
 __all__ = [
     "ArrayPair",
     "BACKENDS",
-    "CsrView",
     "DemandTable",
     "Manifest",
     "QueryIndex",

@@ -6,11 +6,12 @@ opened from the array store that
 through one pair class (:class:`~repro.store.mmapcsr.ArrayPair`):
 
 ``ram``
-    The compiled per-pair ``.npy`` blobs loaded whole — fastest, but
-    resident size grows linearly with the corpus.  Without an artifact
-    cache (``--no-cache``), or over a size-bounded one that does not
-    hold the published store yet, the same packed arrays are compiled
-    in memory and never published.
+    The compiled per-pair ``.npy`` blobs loaded whole, as published —
+    fastest, but resident size grows linearly with the corpus.  Without
+    an artifact cache (``--no-cache``), or over a size-bounded one that
+    does not hold the published store yet, the same packed arrays are
+    compiled in memory (greedy set cover included) and never
+    published.
 ``mmap``
     The same blobs opened with ``np.load(..., mmap_mode="r")``, so the
     OS pages adjacency in on demand and cold rows cost no RSS.
@@ -18,34 +19,30 @@ through one pair class (:class:`~repro.store.mmapcsr.ArrayPair`):
 Both tiers must render **byte-identical** ``/v1/*`` responses —
 including error-message strings, which the HTTP layer embeds in
 400/404 bodies.  The shared helpers here (`coverage_row`,
-`check_top_t`, `run_set_cover`) exist so those strings and float
-paths have exactly one spelling, shared with the test suite's
-independent reference index.
+`check_top_t`) exist so those strings have exactly one spelling,
+shared with the test suite's independent reference index.  Nothing is
+computed at request time: set cover is a slice of the greedy order
+the compiler stored (:meth:`~repro.store.mmapcsr.ArrayPair.set_cover`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-import numpy as np
-
-from repro.core.setcover import greedy_set_cover
 from repro.pipeline.config import ExperimentConfig
 from repro.store.demand import DemandTable
 from repro.store.manifest import Manifest
 
 __all__ = [
     "BACKENDS",
-    "CsrView",
     "QueryIndex",
     "RAM_MAX_ENTITIES",
     "check_top_t",
     "choose_backend",
     "coverage_row",
     "open_backend",
-    "run_set_cover",
 ]
 
 #: Accepted ``--backend`` values (``auto`` resolves per manifest size).
@@ -137,38 +134,6 @@ class QueryIndex:
         }
 
 
-class CsrView:
-    """Duck-typed CSR-by-site adjacency for :func:`greedy_set_cover`.
-
-    Wraps bare ``(site_ptr, entity_idx)`` arrays — in-RAM or memory
-    mapped — in the four attributes the lazy greedy loop reads, so both
-    tiers reuse the core algorithm verbatim instead of re-implementing
-    its tie-breaking.
-    """
-
-    __slots__ = ("n_entities", "site_ptr", "entity_idx")
-
-    def __init__(
-        self, n_entities: int, site_ptr: np.ndarray, entity_idx: np.ndarray
-    ) -> None:
-        self.n_entities = int(n_entities)
-        self.site_ptr = site_ptr
-        self.entity_idx = entity_idx
-
-    @property
-    def n_sites(self) -> int:
-        """Number of sites (CSR rows)."""
-        return len(self.site_ptr) - 1
-
-    def site_sizes(self) -> np.ndarray:
-        """Entities-per-site counts, ``int64[n_sites]``."""
-        return np.diff(self.site_ptr)
-
-    def site_entities(self, site: int) -> np.ndarray:
-        """Entity indices mentioned by ``site``."""
-        return self.entity_idx[self.site_ptr[site] : self.site_ptr[site + 1]]
-
-
 def coverage_row(coverage_ks: tuple[int, ...], k: int) -> int:
     """Row of ``k`` in the precomputed coverage table.
 
@@ -191,29 +156,6 @@ def check_top_t(top_t: int, n_sites: int) -> None:
     """
     if not 1 <= top_t <= n_sites:
         raise ValueError(f"t must be in [1, {n_sites}], got {top_t}")
-
-
-def run_set_cover(
-    view: Any, host_of: Callable[[int], str], budget: int
-) -> dict[str, object]:
-    """Bounded greedy set cover rendered as the ``/v1/setcover`` payload.
-
-    ``view`` is anything :func:`greedy_set_cover` accepts (a
-    ``BipartiteIncidence`` or a :class:`CsrView`); ``host_of`` maps a
-    selected site index to its host string.  One shared body keeps the
-    selection order, gain integers, and rounded coverage fraction
-    bit-identical across tiers.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    order, gains = greedy_set_cover(view, max_sites=budget)
-    denominator = max(view.n_entities, 1)
-    return {
-        "budget": int(budget),
-        "selected": [host_of(int(s)) for s in order],
-        "gains": [int(g) for g in gains],
-        "coverage": round(float(gains.sum()) / denominator, 6),
-    }
 
 
 def choose_backend(manifest: Manifest) -> str:

@@ -7,8 +7,9 @@ the read-optimized layout into cache-addressed artifacts keyed on the
 manifest identity:
 
 - per pair, individual ``.npy`` blobs (CSR both ways, the dense
-  coverage table, host/id string arrays plus their sort orders).  The
-  ``ram`` tier loads them whole and the ``mmap`` tier maps them with
+  coverage table, the full greedy set-cover order with its gains,
+  host/id string arrays plus their sort orders).  The ``ram`` tier
+  loads them whole and the ``mmap`` tier maps them with
   ``mmap_mode="r"``.  Individual files, not an ``.npz``: ``np.load``
   silently ignores ``mmap_mode`` for zip members, which would quietly
   re-inflate the index into RAM;
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.core.coverage import k_coverage_curves
 from repro.core.incidence import transpose_csr
+from repro.core.setcover import greedy_set_cover
 from repro.core.valueadd import demand_vs_reviews
 from repro.perf import fingerprint
 from repro.perf.cache import ArtifactCache, active_cache
@@ -53,7 +55,7 @@ __all__ = [
     "unpack_texts",
 ]
 
-STORE_FORMAT = "repro-store-v2"
+STORE_FORMAT = "repro-store-v3"
 
 #: Hosts advertised per pair (head of the size-ranked order); bounds
 #: the /healthz payload at paper scale.
@@ -69,6 +71,7 @@ PAIR_MEMBERS = (
     "entity_ptr",
     "entity_sites",
     "coverage",
+    "setcover",
     "hosts",
     "hosts_sorted",
     "host_order",
@@ -166,6 +169,9 @@ def _materialize_pair(
         ks=config.ks,
         checkpoints=np.arange(1, n_sites + 1, dtype=np.int64),
     )
+    # The full greedy run: a budget-b cover is its first b picks, since
+    # greedy_set_cover reads max_sites only to stop.
+    order, gains = greedy_set_cover(incidence)
     ranked = incidence.sites_by_size()
     hosts = np.asarray(incidence.site_hosts)
     # Sort by host with ascending index as tie-break, so duplicates
@@ -178,6 +184,7 @@ def _materialize_pair(
         "entity_ptr": entity_ptr,
         "entity_sites": entity_sites,
         "coverage": curves.coverage,
+        "setcover": np.stack([order, gains]),
         "hosts": hosts,
         "hosts_sorted": hosts[host_order],
         "host_order": host_order.astype(np.int64),

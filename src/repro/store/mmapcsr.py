@@ -2,13 +2,12 @@
 
 The ``ram`` and ``mmap`` tiers open the same per-pair ``.npy`` blobs
 that :func:`~repro.store.compile.build_store` publishes and answer
-through the same :class:`ArrayPair`; only residency differs:
+through the same :class:`ArrayPair`; the arrays hold the dtypes they
+were published with (index arrays packed to int32), and only residency
+differs:
 
 ``ram``
-    Every blob loaded whole with ``np.load``.  Index arrays are widened
-    from their packed int32 to ``intp``, numpy's native index type:
-    greedy set cover runs 25–35% slower over int32 arrays, which every
-    fancy index has to convert first.
+    Every blob loaded whole with ``np.load``.
 ``mmap``
     Every blob mapped with ``np.load(..., mmap_mode="r")``: the OS
     pages adjacency in on demand, so resident size tracks the working
@@ -27,11 +26,10 @@ search instead of one per pair.  Listings (``entity_site_hosts``,
 ``site_hosts``, ``entity_labels``) take one fancy index into the
 string blob and one ``tolist()``.
 
-Every numeric path reuses shared code
-(:func:`~repro.core.setcover.greedy_set_cover` through
-:class:`~repro.store.backend.CsrView`, the dense coverage table, the
-:class:`~repro.store.demand.DemandTable` lookup), so responses are
-byte-identical by construction.
+Nothing is computed per request: coverage reads the dense table, set
+cover slices the compiled greedy order, and demand reads the
+:class:`~repro.store.demand.DemandTable` bins, so both residencies
+render byte-identical responses by construction.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.store.backend import CsrView, check_top_t, coverage_row, run_set_cover
+from repro.store.backend import check_top_t, coverage_row
 from repro.store.compile import StoreArtifacts, load_blob, unpack_texts
 
 __all__ = ["ArrayPair", "HostDirectory", "MmapPair", "open_array_pairs"]
@@ -87,14 +85,6 @@ def _drop_page_cache(path: str | os.PathLike) -> None:
         os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
     finally:
         os.close(fd)
-
-
-def _resident(blob: Path | np.ndarray) -> np.ndarray:
-    """A blob loaded whole, its index arrays widened to ``intp``."""
-    array = load_blob(blob)
-    if array.dtype.kind == "i" and array.dtype != np.intp:
-        return array.astype(np.intp)
-    return array
 
 
 def _mapped(path: Path) -> np.ndarray:
@@ -140,6 +130,7 @@ class ArrayPair:
     entity_ptr: np.ndarray = field(repr=False)
     entity_sites: np.ndarray = field(repr=False)
     coverage: np.ndarray = field(repr=False)
+    setcover: np.ndarray = field(repr=False)
     hosts: np.ndarray = field(repr=False)
     hosts_sorted: np.ndarray = field(repr=False)
     host_order: np.ndarray = field(repr=False)
@@ -235,9 +226,25 @@ class ArrayPair:
         return float(self.coverage[row, top_t - 1])
 
     def set_cover(self, budget: int) -> dict[str, object]:
-        """Bounded greedy set cover over the CSR arrays."""
-        view = CsrView(self.n_entities, self.site_ptr, self.entity_idx)
-        return run_set_cover(view, self.site_host, budget)
+        """The first ``budget`` picks of the compiled greedy set cover.
+
+        ``setcover`` stacks the full greedy order over each pick's
+        gain, so the slice renders the ``/v1/setcover`` payload of
+        ``greedy_set_cover(incidence, max_sites=budget)``.
+
+        Raises:
+            ValueError: ``budget`` below 1.
+        """
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+        order = self.setcover[0, :budget]
+        gains = self.setcover[1, :budget]
+        return {
+            "budget": int(budget),
+            "selected": self.site_hosts(order),
+            "gains": gains.tolist(),
+            "coverage": round(float(gains.sum()) / max(self.n_entities, 1), 6),
+        }
 
 
 # The benchmark's per-layer tracer (perfbench/layers.py) imports the
@@ -311,12 +318,12 @@ def open_array_pairs(
 ) -> tuple[dict[tuple[str, str], ArrayPair], dict[str, Any]]:
     """Open every pair of a compiled store, loaded whole or mapped.
 
-    ``resident`` loads each blob into memory (the ``ram`` tier; an
-    unpublished store from ``materialize_store`` is already there);
-    otherwise each published blob is memory-mapped (``mmap``).  Demand
-    tables ride along.
+    ``resident`` loads each blob into memory as published (the ``ram``
+    tier; an unpublished store from ``materialize_store`` is already
+    there); otherwise each published blob is memory-mapped (``mmap``).
+    Demand tables ride along.
     """
-    load = _resident if resident else _mapped
+    load = load_blob if resident else _mapped
     pairs: dict[tuple[str, str], ArrayPair] = {}
     for row in artifacts.meta["pairs"]:
         key = (row["domain"], row["attribute"])

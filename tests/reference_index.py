@@ -4,8 +4,9 @@ Every serving tier opens the one compiled store (``repro.store``), so
 diffing the tiers against each other cannot catch a bug in what they
 share.  This module builds a pair's answers the direct way instead:
 the pipeline's incidence, ``transpose_csr``, ``k_coverage_curves`` over
-every site prefix, and plain dicts for host and catalog-id resolution
-(the last duplicate wins).  Wrapped in a ``QueryIndex``, it renders
+every site prefix, a live ``greedy_set_cover`` per set-cover budget,
+and plain dicts for host and catalog-id resolution (the last duplicate
+wins).  Wrapped in a ``QueryIndex``, it renders
 ``/v1/*`` responses through ``ServeApp`` like any tier.
 """
 
@@ -17,10 +18,11 @@ import numpy as np
 
 from repro.core.coverage import k_coverage_curves
 from repro.core.incidence import BipartiteIncidence, transpose_csr
+from repro.core.setcover import greedy_set_cover
 from repro.core.valueadd import demand_vs_reviews
 from repro.pipeline.experiments import build_traffic_dataset, spread_incidence
 from repro.store import DemandTable, Manifest, QueryIndex, manifest_identity
-from repro.store.backend import check_top_t, coverage_row, run_set_cover
+from repro.store.backend import check_top_t, coverage_row
 from repro.store.compile import DEMAND_SOURCES, TOP_HOSTS
 
 
@@ -92,7 +94,15 @@ class ReferencePair:
         return float(self.coverage[row, top_t - 1])
 
     def set_cover(self, budget: int) -> dict[str, object]:
-        return run_set_cover(self.incidence, self.site_host, budget)
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+        order, gains = greedy_set_cover(self.incidence, max_sites=budget)
+        return {
+            "budget": int(budget),
+            "selected": [self.site_host(int(s)) for s in order],
+            "gains": [int(g) for g in gains],
+            "coverage": round(float(gains.sum()) / max(self.n_entities, 1), 6),
+        }
 
 
 def reference_pair(domain: str, attribute: str, config) -> ReferencePair:

@@ -68,6 +68,11 @@ def test_invalid_inputs(tiny_incidence):
         sites_needed_for_coverage(tiny_incidence, 1.5)
 
 
+def test_order_must_not_repeat_a_site(tiny_incidence):
+    with pytest.raises(ValueError, match="repeat"):
+        k_coverage_curves(tiny_incidence, ks=(1,), order=np.array([0, 1, 0]))
+
+
 def test_coverage_at_zero_sites(tiny_incidence):
     assert coverage_at(tiny_incidence, 0) == 0.0
 
@@ -146,3 +151,77 @@ def test_property_matches_bruteforce(inc):
         for k in (1, 2):
             expected = float(np.mean(counts >= k))
             assert coverage_at(inc, t, k=k) == pytest.approx(expected)
+
+
+def loop_k_coverage(incidence, ks, checkpoints, order):
+    """The per-site streaming loop ``k_coverage_curves`` replaced.
+
+    For every site in ``order``, bump its entities' mention counts and
+    count, per level, the entities whose count just reached it; record
+    ``reached[k] / n_entities`` at each checkpoint.
+    """
+    n = incidence.n_entities
+    kmax = max(ks)
+    counts = np.zeros(n, dtype=np.int64)
+    reached = np.zeros(kmax + 2, dtype=np.int64)
+    coverage = np.zeros((len(ks), len(checkpoints)))
+    next_checkpoint = 0
+    denominator = max(n, 1)
+    for t, site in enumerate(order, start=1):
+        entities = incidence.site_entities(int(site))
+        if len(entities):
+            new_counts = counts[entities] + 1
+            counts[entities] = new_counts
+            hits = new_counts[new_counts <= kmax]
+            if len(hits):
+                np.add.at(reached, hits, 1)
+        while next_checkpoint < len(checkpoints) and checkpoints[next_checkpoint] == t:
+            for row, k in enumerate(ks):
+                coverage[row, next_checkpoint] = reached[k] / denominator
+            next_checkpoint += 1
+    return coverage
+
+
+@st.composite
+def ranked_incidence(draw):
+    """A random incidence (empty sites and unmentioned entities
+    allowed), a site order over all or part of it, and checkpoints
+    that may reach the order's end."""
+    n_entities = draw(st.integers(min_value=0, max_value=20))
+    n_sites = draw(st.integers(min_value=1, max_value=8))
+    entity = st.integers(min_value=0, max_value=max(n_entities - 1, 0))
+    sites = [
+        (f"s{site}", draw(st.lists(entity, max_size=12)) if n_entities else [])
+        for site in range(n_sites)
+    ]
+    incidence = BipartiteIncidence.from_site_lists(n_entities=n_entities, sites=sites)
+    order = draw(st.permutations(range(n_sites)))
+    order = np.asarray(order[: draw(st.integers(min_value=0, max_value=n_sites))])
+    if len(order):
+        checkpoints = draw(
+            st.lists(st.integers(min_value=1, max_value=len(order)), max_size=6)
+        )
+        checkpoints.append(len(order))
+    else:
+        checkpoints = []
+    ks = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=5), min_size=1))))
+    return incidence, order, checkpoints, ks
+
+
+@given(ranked_incidence())
+@settings(max_examples=150, deadline=None)
+def test_property_matches_the_per_site_loop(case):
+    """The array formulation is bit-identical to the streaming loop."""
+    incidence, order, checkpoints, ks = case
+    curves = k_coverage_curves(incidence, ks=ks, checkpoints=checkpoints, order=order)
+    expected = loop_k_coverage(incidence, ks, np.unique(checkpoints), order)
+    assert curves.coverage.shape == expected.shape
+    assert curves.coverage.tobytes() == expected.tobytes()
+
+
+def test_default_order_and_checkpoints_match_the_per_site_loop(tiny_incidence):
+    curves = k_coverage_curves(tiny_incidence, ks=(1, 2, 3))
+    expected = loop_k_coverage(
+        tiny_incidence, (1, 2, 3), curves.checkpoints, tiny_incidence.sites_by_size()
+    )
+    assert curves.coverage.tobytes() == expected.tobytes()

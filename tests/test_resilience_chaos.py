@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -237,8 +238,12 @@ def _stalled_cache_roundtrip(payload):
     Module-level so forked pool workers can unpickle it by reference.
     With a ``stall`` fault armed, both the publish and the read sleep —
     this is the cache-touching task the executor's per-attempt timeout
-    must cut short.
+    must cut short.  It notes the wall-clock time it starts at, which is
+    when the first stall nap begins.
     """
+    began = Path(payload["began_file"])
+    began.with_suffix(".tmp").write_text(repr(time.time()))  # reprolint: disable=RNG004
+    os.replace(began.with_suffix(".tmp"), began)  # never read half-written
     cache = ArtifactCache(directory=Path(payload["cache_dir"]))
     configure_cache(cache)
     cache.put_records(payload["key"], payload["records"])
@@ -261,10 +266,12 @@ def test_cache_stall_trips_attempt_timeout_then_recovers(tmp_path, faults):
     same task graph converges to the exact faultless value.
     """
     records = [{"rank": index, "score": index * 0.5} for index in range(4)]
+    began_file = tmp_path / "stall-began"
     payload = {
         "cache_dir": str(tmp_path / "cache"),
         "key": "deadbeef" * 8,
         "records": records,
+        "began_file": str(began_file),
     }
     tasks = [
         ExperimentTask("stalled", _stalled_cache_roundtrip, payload),
@@ -275,17 +282,24 @@ def test_cache_stall_trips_attempt_timeout_then_recovers(tmp_path, faults):
     # sleeps out harmlessly in the background after pool teardown).
     policy = RetryPolicy(max_attempts=1, timeout_seconds=0.5, seed=0)
 
-    faults("op=stall,key=*,seconds=3")
+    stall_seconds = 3.0
+    faults(f"op=stall,key=*,seconds={stall_seconds}")
     result = execute_tasks(
         tasks, workers=2, policy=policy, raise_on_failure=False
     )
+    ended = time.time()  # reprolint: disable=RNG004
+    began = float(began_file.read_text()) if began_file.exists() else None
     assert "stalled" in result.failures  # the stall was felt, loudly
     failure = result.failures["stalled"]
     assert failure.error_type == "TimeoutError"
     assert "timeout" in failure.message.lower()
     assert result.outcomes["untouched"].value == 41
-    # Tripped deadline, not a wedged run: well under one full stall nap.
-    assert result.total_seconds < 2.5
+    # Tripped deadline, not a wedged run: the run was over before the
+    # first stall nap could end.  Timed from the task's own start, so
+    # pool start-up on a slow host does not count; if the deadline
+    # passed before a worker took the task, no nap began at all.
+    if began is not None:
+        assert ended < began + stall_seconds
     assert failure.attempts == 1  # charged exactly the one timed-out try
 
     faults("")  # filesystem unwedged

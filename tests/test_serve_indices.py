@@ -18,6 +18,7 @@ from repro.perf import ArtifactCache, configure_cache
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.experiments import spread_incidence
 from repro.pipeline.runall import MANIFEST_NAME, write_manifest
+from repro.serve import ServeSettings
 from repro.serve.indices import Manifest, build_index, load_manifest
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
@@ -234,15 +235,23 @@ def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
 
 
 def test_set_cover_matches_greedy_on_the_incidence(tiers, incidences):
+    """Every budget the server accepts, on both tiers, renders the
+    payload of a live greedy run bounded at that budget."""
     for key, incidence in incidences.items():
-        for budget in (1, 5, incidence.n_sites):
+        denominator = max(incidence.n_entities, 1)
+        for budget in range(1, ServeSettings().max_setcover_budget + 1):
             order, gains = greedy_set_cover(incidence, max_sites=budget)
-            for tier in tiers.values():
-                result = tier.pairs[key].set_cover(budget)
-                assert result["selected"] == [
-                    incidence.site_hosts[int(s)] for s in order
-                ]
-                assert result["gains"] == gains.tolist()
+            expected = json.dumps(
+                {
+                    "budget": budget,
+                    "selected": [incidence.site_hosts[int(s)] for s in order],
+                    "gains": gains.tolist(),
+                    "coverage": round(float(gains.sum()) / denominator, 6),
+                }
+            )
+            for name, tier in tiers.items():
+                result = json.dumps(tier.pairs[key].set_cover(budget))
+                assert result == expected, (name, key, budget)
 
 
 def test_coverage_param_validation(index):

@@ -8,6 +8,7 @@ tiers share one compiled store."""
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +218,51 @@ def test_uncached_ram_index_matches_the_cached_one(apps):
             assert uncached.handle(path) == apps["ram"].handle(path), path
     finally:
         uncached.close()
+
+
+def test_ram_pairs_hold_the_published_dtypes(apps):
+    """The ram tier loads each blob as published: the dtypes the mmap
+    tier maps, with every index array packed to int32."""
+    ram = apps["ram"].index.pairs[("restaurants", "phone")]
+    mapped = apps["mmap"].index.pairs[("restaurants", "phone")]
+    packed = set()
+    for name in PAIR_MEMBERS + PAIR_ID_MEMBERS:
+        resident, published = getattr(ram, name), getattr(mapped, name)
+        if published is None:  # a pair without catalog ids
+            assert resident is None, name
+            continue
+        assert resident.dtype == published.dtype, name
+        assert np.array_equal(resident, published), name
+        if resident.dtype.kind == "i":
+            assert resident.dtype == np.int32, name
+            packed.add(name)
+    indices = {"site_ptr", "entity_idx", "entity_ptr", "entity_sites", "setcover"}
+    orders = {"host_order"} | ({"id_order"} if ram.entity_ids is not None else set())
+    assert packed == indices | orders
+
+
+def test_setcover_runs_no_greedy_at_request_time(apps, monkeypatch):
+    """Set cover is a slice of the compiled greedy order: with every
+    ``repro`` binding of ``greedy_set_cover`` made to raise, both tiers
+    still answer byte-identically to the reference's live greedy."""
+    paths = [f"/v1/setcover/restaurants?budget={budget}" for budget in (1, 5, 10, 500)]
+    expected = {path: everywhere(apps, path) for path in paths}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("greedy_set_cover ran at request time")
+
+    bound = sorted(
+        name
+        for name, module in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and "greedy_set_cover" in vars(module)
+    )
+    assert "repro.core.setcover" in bound
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "greedy_set_cover", refuse)
+    for path in paths:
+        for tier in TIERS:
+            assert apps[tier].handle(path) == expected[path], (tier, path)
 
 
 def test_pagination_cursor_chains_match(apps):
