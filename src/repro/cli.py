@@ -301,18 +301,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
             f"(hit rate {stats.hit_rate:.0%}{quarantine}) at {report.cache_dir}"
         )
     print(f"total: {report.total_seconds:.1f}s with {report.workers} worker(s)")
-    if args.perf_report is not None:
-        path = report.write(args.perf_report)
-        print(f"perf report written to {path}")
-    if not report.ok:
-        print(
-            f"\n{len(report.failures)} task(s) failed, "
-            f"{len(report.skipped)} skipped; rerun just the missing work "
-            f"with: repro all {args.output} --resume {report.run_id}",
-            file=sys.stderr,
-        )
-        return 3
-    if args.compile_store:
+    if report.ok and args.compile_store:
         from repro.perf import ArtifactCache, configure_cache
         from repro.store import build_store, load_manifest
 
@@ -326,11 +315,29 @@ def _cmd_all(args: argparse.Namespace) -> int:
                 ),
             )
         )
-        store = build_store(load_manifest(args.output))
+        # The run's (CPU-clamped) worker count; one timing per pair.
+        store = build_store(
+            load_manifest(args.output),
+            workers=report.workers,
+            on_complete=lambda outcome: report.add_timing(
+                outcome.name, outcome.seconds
+            ),
+        )
         print(
             f"store compiled [{store.identity[:12]}]: "
             f"{len(store.pair_blobs)} pair blob sets"
         )
+    if args.perf_report is not None:
+        path = report.write(args.perf_report)
+        print(f"perf report written to {path}")
+    if not report.ok:
+        print(
+            f"\n{len(report.failures)} task(s) failed, "
+            f"{len(report.skipped)} skipped; rerun just the missing work "
+            f"with: repro all {args.output} --resume {report.run_id}",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

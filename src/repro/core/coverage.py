@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, sorted_unique
 
 __all__ = [
     "CoverageCurves",
@@ -38,7 +38,7 @@ def default_checkpoints(n_sites: int, per_decade: int = 16) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     decades = max(np.log10(n_sites), 1e-9)
     grid = np.logspace(0, np.log10(n_sites), int(decades * per_decade) + 2)
-    return np.unique(np.clip(np.round(grid).astype(np.int64), 1, n_sites))
+    return sorted_unique(np.clip(np.round(grid).astype(np.int64), 1, n_sites))
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def k_coverage_curves(
     if checkpoints is None:
         checkpoint_arr = default_checkpoints(len(order))
     else:
-        checkpoint_arr = np.unique(np.asarray(checkpoints, dtype=np.int64))
+        checkpoint_arr = sorted_unique(np.asarray(checkpoints, dtype=np.int64))
         if len(checkpoint_arr) and (
             checkpoint_arr[0] < 1 or checkpoint_arr[-1] > len(order)
         ):
@@ -213,7 +213,7 @@ def aggregate_coverage_curve(
     if checkpoints is None:
         checkpoint_arr = default_checkpoints(len(order))
     else:
-        checkpoint_arr = np.unique(np.asarray(checkpoints, dtype=np.int64))
+        checkpoint_arr = sorted_unique(np.asarray(checkpoints, dtype=np.int64))
     sizes = incidence.site_sizes()
     if incidence.multiplicity is None:
         pages = sizes.copy()

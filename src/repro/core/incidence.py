@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["BipartiteIncidence", "rank_by_size", "transpose_csr"]
+__all__ = ["BipartiteIncidence", "rank_by_size", "sorted_unique", "transpose_csr"]
 
 
 @dataclass
@@ -184,7 +184,7 @@ class BipartiteIncidence:
 
     def mentioned_entities(self) -> np.ndarray:
         """Sorted indices of entities with at least one mention."""
-        return np.unique(self.entity_idx)
+        return sorted_unique(self.entity_idx)
 
     def average_sites_per_entity(self) -> float:
         """Mean number of sites mentioning an entity (over mentioned ones)."""
@@ -266,6 +266,27 @@ def rank_by_size(sizes: np.ndarray) -> np.ndarray:
     compiled store's ``top_hosts``) orders sites through it.
     """
     return np.lexsort((np.arange(len(sizes)), -np.asarray(sizes)))
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct elements of an integer array, ascending.
+
+    ``np.unique(values)`` by one sort: mask each element that differs
+    from its predecessor.  numpy >= 2.3 answers a plain ``np.unique``
+    through a hash table and then sorts the distinct values, several
+    times slower than this on the batch path's int64 arrays.  Like
+    ``np.unique``, the input is flattened.
+
+    For integer arrays only: ``np.unique`` merges NaNs into one, and
+    the ``!=`` mask here keeps every NaN.
+    """
+    ordered = np.sort(values, axis=None)
+    if ordered.size == 0:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def transpose_csr(incidence: BipartiteIncidence) -> tuple[np.ndarray, np.ndarray]:

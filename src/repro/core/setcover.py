@@ -20,7 +20,7 @@ import heapq
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, sorted_unique
 
 __all__ = ["greedy_set_cover", "greedy_coverage_curve"]
 
@@ -99,7 +99,7 @@ def greedy_coverage_curve(
     if checkpoints is None:
         checkpoints = default_checkpoints(incidence.n_sites)
     else:
-        checkpoints = np.unique(np.asarray(checkpoints, dtype=np.int64))
+        checkpoints = sorted_unique(np.asarray(checkpoints, dtype=np.int64))
     cumulative = np.cumsum(gains) if len(gains) else np.zeros(1, dtype=np.int64)
     denominator = max(incidence.n_entities, 1)
     clipped = np.clip(checkpoints, 1, len(cumulative)) - 1

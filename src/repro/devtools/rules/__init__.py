@@ -6,7 +6,7 @@ Rule families:
 - :mod:`repro.devtools.rules.seeding` — seed threading (``SEED001``)
 - :mod:`repro.devtools.rules.layering` — import-graph DAG (``LAY001``, ``LAY002``)
 - :mod:`repro.devtools.rules.api` — API hygiene (``API001``–``API003``)
-- :mod:`repro.devtools.rules.perf` — hot-path idioms (``PERF001``–``PERF003``)
+- :mod:`repro.devtools.rules.perf` — hot-path idioms (``PERF001``–``PERF004``)
 - :mod:`repro.devtools.rules.robustness` — error discipline (``ROB001``–``ROB002``)
 - :mod:`repro.devtools.rules.store` — SQL hygiene (``STORE001``)
 - :mod:`repro.devtools.rules.conc` — concurrency & fork safety

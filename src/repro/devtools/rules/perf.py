@@ -1,8 +1,8 @@
-"""Hot-path performance rules (``PERF001``–``PERF003``).
+"""Hot-path performance rules (``PERF001``–``PERF004``).
 
 The analysis kernels in ``repro.core`` sit inside every experiment's
 inner loop, so a quadratic idiom there multiplies across the whole
-pipeline.  These rules flag the three patterns that have actually cost
+pipeline.  These rules flag the four patterns that have actually cost
 us wall-clock:
 
 - membership tests against a *list* inside a loop (linear scan per
@@ -12,10 +12,14 @@ us wall-clock:
   concatenate once);
 - index-counting loops (``for i in range(len(x))`` and friends), which
   almost always mark a per-row Python loop over array data that a
-  vectorized expression should replace.
+  vectorized expression should replace;
+- a plain ``np.unique(x)``, which numpy >= 2.3 answers through a hash
+  table and then sorts: several times slower on integer arrays than
+  the one sort of ``repro.core.incidence.sorted_unique``.
 
 They are advisory by nature, so the pyproject per-path config enables
-them only where vectorization is the contract (``src/repro/core``).
+them only where vectorization is the contract (``src/repro/core``;
+``PERF004`` also for the corpus and traffic generators).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "IndexCountingLoopRule",
     "ListMembershipInLoopRule",
     "NumpyConcatInLoopRule",
+    "PlainNumpyUniqueRule",
 ]
 
 # numpy calls that copy the full accumulated array on every call; inside
@@ -199,6 +204,63 @@ class IndexCountingLoopRule(Rule):
                 "vectorize the body, or use enumerate()/zip() if indices "
                 "are genuinely needed",
             )
+
+
+# np.unique keywords that ask for more than the sorted distinct values
+# (the first three take numpy's sort path; axis asks for unique rows).
+_UNIQUE_EXTRAS = frozenset(
+    {"return_index", "return_inverse", "return_counts", "axis"}
+)
+
+
+@register
+class PlainNumpyUniqueRule(Rule):
+    """PERF004: plain ``np.unique(x)``; use ``sorted_unique``."""
+
+    rule_id = "PERF004"
+    summary = "plain numpy.unique (hash-based on numpy >= 2.3); use sorted_unique"
+
+    def check_module(
+        self, module: ModuleInfo, context: AnalysisContext | None = None
+    ) -> Iterator[Finding]:
+        """Flag ``np.unique(x)`` calls that ask only for the distinct values."""
+        aliases = collect_import_aliases(module.tree)
+        for node in ast.walk(module.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and resolve_name(node.func, aliases) == "numpy.unique"
+                and _is_plain_unique(node)
+            ):
+                continue
+            yield Finding(
+                module.relpath,
+                node.lineno,
+                node.col_offset,
+                self.rule_id,
+                "plain `numpy.unique` hashes and then sorts on numpy >= 2.3; "
+                "for an integer array use "
+                "`repro.core.incidence.sorted_unique` (one sort)",
+            )
+
+
+def _is_plain_unique(call: ast.Call) -> bool:
+    """True when a ``np.unique`` call asks only for the distinct values.
+
+    Extra positional arguments, ``*args``/``**kwargs`` and any of
+    ``_UNIQUE_EXTRAS`` (unless a literal False or None) make it not
+    plain: the call may want indices, counts or rows.
+    """
+    if len(call.args) != 1 or isinstance(call.args[0], ast.Starred):
+        return False
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return False
+        if keyword.arg in _UNIQUE_EXTRAS and not (
+            isinstance(keyword.value, ast.Constant)
+            and (keyword.value.value is False or keyword.value.value is None)
+        ):
+            return False
+    return True
 
 
 def _is_len_call(node: ast.expr) -> bool:

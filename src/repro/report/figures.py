@@ -9,6 +9,7 @@ external plotting.
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -142,5 +143,19 @@ def write_csv(
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerows(series_to_csv(series))
+        writer.writerow(["series", "x", "y"])
+        # The rows of series_to_csv, one bulk conversion per column.
+        for label, (xs, ys) in series.items():
+            writer.writerows(zip(repeat(label), _floats(xs), _floats(ys)))
     return path
+
+
+def _floats(values: Sequence[float]) -> list[float]:
+    """``[float(v) for v in values]``, converted in one numpy call."""
+    column = np.asarray(values, dtype=np.float64)
+    real = isinstance(values, np.ndarray) and values.dtype.kind in "biuf"
+    if column.ndim != 1 or (not real and np.isnan(column).any()):
+        # np.asarray turns None into NaN and accepts nested sequences,
+        # both of which float() rejects: let float() judge these.
+        return [float(v) for v in values]
+    return column.tolist()

@@ -17,6 +17,10 @@ manifest identity:
 - one ``meta`` record blob, published **last** so its presence implies
   every other blob was published.
 
+Each pair compiles as one ``store:<domain>:<attribute>`` task of
+:func:`~repro.perf.execute_tasks`, inline or over worker processes,
+and publishes only the blobs the cache lacks.
+
 Compilation is idempotent and crash/chaos-safe: each blob is published
 atomically with a sha256 sidecar, and the final read-back re-verifies
 every digest.  An injected ``op=corrupt`` fault (or real bit rot)
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +43,8 @@ from repro.core.coverage import k_coverage_curves
 from repro.core.incidence import transpose_csr
 from repro.core.setcover import greedy_set_cover
 from repro.core.valueadd import demand_vs_reviews
-from repro.perf import fingerprint
-from repro.perf.cache import ArtifactCache, active_cache
+from repro.perf import ExperimentTask, TaskOutcome, execute_tasks, fingerprint
+from repro.perf.cache import ArtifactCache, active_cache, configure_cache
 from repro.store.demand import DemandTable
 from repro.store.manifest import Manifest, manifest_identity
 
@@ -153,26 +158,32 @@ def load_blob(blob: Path | np.ndarray) -> np.ndarray:
     return np.load(blob, allow_pickle=False)
 
 
-def _materialize_pair(
-    domain: str, attribute: str, config
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """One pair's meta row and packed blob arrays."""
-    # Lazy: the experiment stack (~11 MB RSS) must not ride along into
-    # every serve worker that imports the store (IMP001).
-    from repro.pipeline.experiments import spread_incidence
+def _pair_row(domain: str, attribute: str, incidence, ks) -> dict:
+    """One pair's meta row: counts, ``ks``, head hosts, id presence."""
+    ranked = incidence.sites_by_size()
+    return {
+        "domain": domain,
+        "attribute": attribute,
+        "n_entities": incidence.n_entities,
+        "n_sites": incidence.n_sites,
+        "ks": [int(k) for k in ks],
+        "top_hosts": [incidence.site_hosts[int(s)] for s in ranked[:TOP_HOSTS]],
+        "has_ids": incidence.entity_ids is not None,
+    }
 
-    incidence = spread_incidence(domain, attribute, config)
+
+def _pair_arrays(incidence, ks) -> dict[str, np.ndarray]:
+    """One pair's packed blob arrays."""
     entity_ptr, entity_sites = transpose_csr(incidence)
     n_sites = incidence.n_sites
     curves = k_coverage_curves(
         incidence,
-        ks=config.ks,
+        ks=ks,
         checkpoints=np.arange(1, n_sites + 1, dtype=np.int64),
     )
     # The full greedy run: a budget-b cover is its first b picks, since
     # greedy_set_cover reads max_sites only to stop.
     order, gains = greedy_set_cover(incidence)
-    ranked = incidence.sites_by_size()
     hosts = np.asarray(incidence.site_hosts)
     # Sort by host with ascending index as tie-break, so duplicates
     # resolve to the *last* (largest) index via bisect_right - 1 (see
@@ -196,16 +207,54 @@ def _materialize_pair(
         arrays["entity_ids"] = ids
         arrays["ids_sorted"] = ids[id_order]
         arrays["id_order"] = id_order.astype(np.int64)
-    row = {
-        "domain": domain,
-        "attribute": attribute,
-        "n_entities": incidence.n_entities,
-        "n_sites": n_sites,
-        "ks": [int(k) for k in curves.ks],
-        "top_hosts": [incidence.site_hosts[int(s)] for s in ranked[:TOP_HOSTS]],
-        "has_ids": labels is not None,
+    return {name: _pack_blob(array) for name, array in arrays.items()}
+
+
+def _materialize_pair(
+    domain: str, attribute: str, config
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """One pair's meta row and packed blob arrays."""
+    # Lazy: the experiment stack (~11 MB RSS) must not ride along into
+    # every serve worker that imports the store (IMP001).
+    from repro.pipeline.experiments import spread_incidence
+
+    incidence = spread_incidence(domain, attribute, config)
+    return (
+        _pair_row(domain, attribute, incidence, config.ks),
+        _pair_arrays(incidence, config.ks),
+    )
+
+
+def _compile_pair(payload: dict) -> dict:
+    """Task body: publish one pair's missing blobs, return its meta row.
+
+    Installs the store's cache in this process (a pool worker, or the
+    caller itself when inline), so the pipeline builder reads the
+    run's cached incidence.  A pair whose blobs are all present builds
+    its row from that incidence alone, without the transpose, the
+    coverage table or the greedy run.
+    """
+    from repro.pipeline.experiments import spread_incidence  # lazy: see _materialize_pair
+
+    directory, max_bytes = payload["cache"]
+    cache = ArtifactCache(directory, max_bytes=max_bytes)
+    configure_cache(cache)
+    domain, attribute = payload["domain"], payload["attribute"]
+    config = payload["config"]
+    incidence = spread_incidence(domain, attribute, config)
+    row = _pair_row(domain, attribute, incidence, config.ks)
+    keys = {
+        name: _pair_member_key(payload["identity"], row, name)
+        for name in _pair_member_names(row["has_ids"])
     }
-    return row, {name: _pack_blob(array) for name, array in arrays.items()}
+    missing = [name for name, key in keys.items() if cache.get_file(key, ".npy") is None]
+    if missing:
+        arrays = _pair_arrays(incidence, config.ks)
+        for name in missing:
+            cache.put_file(
+                keys[name], ".npy", lambda tmp, arr=arrays[name]: _save_npy(tmp, arr)
+            )
+    return row
 
 
 def _materialize_demand(site: str, config) -> tuple[dict, dict[str, np.ndarray]]:
@@ -320,7 +369,10 @@ def open_store(manifest: Manifest, cache: ArtifactCache) -> StoreArtifacts | Non
 
 
 def build_store(
-    manifest: Manifest, cache: ArtifactCache | None = None
+    manifest: Manifest,
+    cache: ArtifactCache | None = None,
+    workers: int = 1,
+    on_complete: Callable[[TaskOutcome], None] | None = None,
 ) -> StoreArtifacts:
     """Compile (or reopen) the array store for a manifest.
 
@@ -328,10 +380,17 @@ def build_store(
     returns paths; against a cold (or partially quarantined) cache it
     regenerates exactly the missing blobs from the pipeline builders.
 
+    Each pair compiles as one ``store:<domain>:<attribute>`` task of
+    :func:`~repro.perf.execute_tasks`: inline with ``workers <= 1``,
+    otherwise fanned over that many worker processes.  The blobs are
+    the same bytes either way.  ``on_complete`` receives each pair's
+    :class:`~repro.perf.TaskOutcome` (its timing) in this process.
+
     Raises:
         RuntimeError: No artifact cache is configured, or freshly
             published blobs failed digest verification (e.g. an
             injected corruption fault) — never returns a torn store.
+        repro.perf.TaskExecutionError: A pair failed to compile.
     """
     cache = cache if cache is not None else active_cache()
     if cache is None:
@@ -343,33 +402,48 @@ def build_store(
     if existing is not None:
         return existing
 
-    compiled = materialize_store(manifest)
-    identity = compiled.identity
-    for row in compiled.meta["pairs"]:
-        blobs = compiled.pair_blobs[(row["domain"], row["attribute"])]
-        for name, array in blobs.items():
-            key = _pair_member_key(identity, row, name)
-            if cache.get_file(key, ".npy") is None:
-                cache.put_file(
-                    key, ".npy", lambda tmp, arr=array: _save_npy(tmp, arr)
-                )
-    for site, table in compiled.demand.items():
-        key = store_blob_key(identity, f"demand/{site}")
-        if cache.get_arrays(key) is None:
-            cache.put_arrays(
-                key,
-                {
-                    f"{source}_{part}": array
-                    for source, bins in table.sources.items()
-                    for part, array in zip(("counts", "means"), bins)
-                },
-            )
+    config = manifest.config
+    identity = manifest_identity(manifest)
+    tasks = [
+        ExperimentTask(
+            name=f"store:{domain}:{attribute}",
+            fn=_compile_pair,
+            payload={
+                "domain": domain,
+                "attribute": attribute,
+                "config": config,
+                "identity": identity,
+                "cache": (str(cache.directory), cache.max_bytes),
+            },
+        )
+        for domain, attribute in manifest.spread_pairs
+    ]
+    # Inline tasks install the store's cache in this process, and the
+    # demand builders below read it too: put back the caller's after.
+    previous = configure_cache(cache)
+    try:
+        result = execute_tasks(tasks, workers=workers, on_complete=on_complete)
+        demand_rows: list[dict] = []
+        for site in manifest.traffic_sites:
+            row, arrays = _materialize_demand(site, config)
+            demand_rows.append(row)
+            key = store_blob_key(identity, f"demand/{site}")
+            if cache.get_arrays(key) is None:
+                cache.put_arrays(key, arrays)
+    finally:
+        configure_cache(previous)
 
     # Meta goes last: its presence implies every blob above was
     # published.  The read-back below re-verifies every digest so a
     # corrupted publish fails the compile instead of serving torn data.
-    cache.put_records(store_blob_key(identity, "meta"), [compiled.meta])
-    reopened = _open_existing(manifest, cache, identity, compiled.meta)
+    meta = {
+        "format": STORE_FORMAT,
+        "identity": identity,
+        "pairs": [result.outcomes[task.name].value for task in tasks],
+        "demand": demand_rows,
+    }
+    cache.put_records(store_blob_key(identity, "meta"), [meta])
+    reopened = _open_existing(manifest, cache, identity, meta)
     if reopened is None:
         raise RuntimeError(
             f"store compile for identity {identity} failed read-back "

@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.incidence import sorted_unique
 from repro.traffic.demandmodel import SiteDemandProfile
 from repro.traffic.urls import build_entity_url, parse_entity_url
 
@@ -188,10 +189,10 @@ def unique_cookie_demand(
         # Unique (entity, month, cookie) triples: one count per cookie
         # per month, summed over the year.
         pair = (entities * 12 + months) * cookie_space + cookies
-        entity_of_pair = np.unique(pair) // cookie_space // 12
+        entity_of_pair = sorted_unique(pair) // cookie_space // 12
     else:
         # Unique (entity, cookie) pairs over the whole year.
         pair = entities * cookie_space + cookies
-        entity_of_pair = np.unique(pair) // cookie_space
+        entity_of_pair = sorted_unique(pair) // cookie_space
     np.add.at(demand, entity_of_pair, 1.0)
     return demand

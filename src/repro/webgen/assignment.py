@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, sorted_unique
 from repro.webgen.sitemodel import SiteSizeModel
 
 __all__ = ["AssignmentModel", "attach_review_multiplicity"]
@@ -39,7 +39,14 @@ __all__ = ["AssignmentModel", "attach_review_multiplicity"]
 def _calibrate_bernoulli_scale(
     weights: np.ndarray, target: float, iterations: int = 60
 ) -> float:
-    """Find a > 0 with ``sum(min(1, a * weights)) == target`` (bisection)."""
+    """Find a > 0 with ``sum(min(1, a * weights)) == target`` (bisection).
+
+    The loop ends early once no float lies strictly between ``lo`` and
+    ``hi``: ``mid`` then equals one of them, and since ``lo`` always
+    falls short of ``target`` and ``hi`` always reaches it, every later
+    iteration would assign the value already held.  The result is the
+    one all ``iterations`` would return, bit for bit.
+    """
     if target >= len(weights):
         return np.inf
     lo = 0.0
@@ -48,6 +55,8 @@ def _calibrate_bernoulli_scale(
         hi *= 2.0
     for _ in range(iterations):
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
         if np.minimum(1.0, mid * weights).sum() < target:
             lo = mid
         else:
@@ -124,7 +133,7 @@ class AssignmentModel:
             return members
         draws = min(len(members) * 4, int(count * 1.3) + 3)
         picks = np.searchsorted(cdf, rng.random(draws), side="right")
-        unique = np.unique(picks)
+        unique = sorted_unique(picks)
         if len(unique) > count:
             unique = unique[rng.permutation(len(unique))[:count]]
         return members[unique]
@@ -136,11 +145,19 @@ class AssignmentModel:
         cdf: np.ndarray,
         members: np.ndarray,
         count: int,
+        scales: dict[int, float],
     ) -> np.ndarray:
-        """Sample a global site's entities; exact-size Bernoulli for head sites."""
+        """Sample a global site's entities; exact-size Bernoulli for head sites.
+
+        ``scales`` memoises the Bernoulli scale per site size: it is a
+        pure function of (weights, count), and one corpus draws every
+        global site against the same weights.
+        """
         if count < 0.02 * len(members):
             return self._sample_biased(rng, cdf, members, count)
-        scale = _calibrate_bernoulli_scale(weights, float(count))
+        scale = scales.get(count)
+        if scale is None:
+            scale = scales[count] = _calibrate_bernoulli_scale(weights, float(count))
         include_prob = np.minimum(1.0, scale * weights)
         mask = rng.random(len(members)) < include_prob
         return members[mask]
@@ -191,6 +208,7 @@ class AssignmentModel:
 
         hosts: list[str] = []
         site_lists: list[np.ndarray] = []
+        scales: dict[int, float] = {}
         niche_flags = (sizes <= self.niche_size_threshold) & (
             rng.random(len(sizes)) < self.niche_fraction
         )
@@ -207,7 +225,9 @@ class AssignmentModel:
                     )
                 hosts.append(f"local-{loc:04d}-{rank:06d}.{self.host_suffix}")
             else:
-                entities = self._sample_global(rng, weights, cdf, regular, size)
+                entities = self._sample_global(
+                    rng, weights, cdf, regular, size, scales
+                )
                 hosts.append(f"site-{rank:06d}.{self.host_suffix}")
             site_lists.append(np.asarray(entities, dtype=np.int64))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, sorted_unique
 
 __all__ = ["CorpusEvolver", "recrawl_comparison", "staleness_curve"]
 
@@ -80,7 +80,7 @@ class CorpusEvolver:
                 # replaced by a fresh tail site with new content
                 size = max(1, int(sizes[s]))
                 picks = np.searchsorted(cdf, rng.random(size * 2), side="right")
-                entities = np.unique(picks)[:size].tolist()
+                entities = sorted_unique(picks)[:size].tolist()
                 sites.append((f"new-{host}", entities))
                 continue
             entities = incidence.site_entities(s)
@@ -89,7 +89,7 @@ class CorpusEvolver:
             n_new = int(round(self.edge_add_rate * len(entities)))
             if n_new:
                 picks = np.searchsorted(cdf, rng.random(n_new * 2), side="right")
-                surviving.extend(np.unique(picks)[:n_new].tolist())
+                surviving.extend(sorted_unique(picks)[:n_new].tolist())
             sites.append((host, surviving))
         return BipartiteIncidence.from_site_lists(
             n_entities=n, sites=sites, entity_ids=incidence.entity_ids

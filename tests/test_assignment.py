@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import EntitySiteGraph
 from repro.webgen.assignment import (
@@ -11,6 +12,7 @@ from repro.webgen.assignment import (
     _calibrate_bernoulli_scale,
     attach_review_multiplicity,
 )
+from repro.webgen.profiles import PROFILES
 from repro.webgen.sitemodel import SiteSizeModel
 
 
@@ -132,3 +134,100 @@ def test_review_multiplicity_rejects_negative_base():
     inc = small_model().generate(12)
     with pytest.raises(ValueError):
         attach_review_multiplicity(inc, rng=13, base_extra=-1.0)
+
+
+# -- the calibration memo and its early exit keep every float ----------------
+
+
+def loop_calibrate(weights, target, iterations=60):
+    """The bisection as first written: every one of its iterations."""
+    if target >= len(weights):
+        return np.inf
+    lo = 0.0
+    hi = target / float(weights.sum())
+    while np.minimum(1.0, hi * weights).sum() < target:
+        hi *= 2.0
+    for _ in range(iterations):
+        mid = (lo + hi) / 2
+        if np.minimum(1.0, mid * weights).sum() < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@st.composite
+def calibration_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        exponent = draw(st.floats(min_value=0.0, max_value=2.5))
+        weights = (np.arange(n) + 1.0) ** -exponent
+    else:
+        weights = rng.random(n) + 1e-6
+    fraction = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([1 - 1e-12, 1 - 1e-9, 1 - 1e-6]),
+        )
+    )
+    offset = draw(st.sampled_from([0.0, 0.5, 1.0, 1e-9]))
+    target = max(0.0, fraction * n - offset)
+    return weights, target
+
+
+@given(calibration_cases())
+@settings(max_examples=300, deadline=None)
+def test_calibration_equals_the_full_bisection(case):
+    weights, target = case
+    assert _calibrate_bernoulli_scale(weights, target) == loop_calibrate(
+        weights, target
+    )
+
+
+def test_calibration_equals_the_full_bisection_near_capacity():
+    weights = (np.arange(1000) + 1.0) ** -0.8
+    for target in (999.0, 999.5, 999.999999, 1.0, 0.5, 500.0, 1000.0):
+        assert _calibrate_bernoulli_scale(weights, target) == loop_calibrate(
+            weights, target
+        ), target
+
+
+def unmemoised_sample_global(self, rng, weights, cdf, members, count, scales):
+    """``_sample_global`` without the memo, over the full bisection."""
+    if count < 0.02 * len(members):
+        return self._sample_biased(rng, cdf, members, count)
+    include_prob = np.minimum(1.0, loop_calibrate(weights, float(count)) * weights)
+    mask = rng.random(len(members)) < include_prob
+    return members[mask]
+
+
+def np_unique_sample_biased(rng, cdf, members, count):
+    """``_sample_biased`` over ``np.unique``, as first written."""
+    if count >= len(members):
+        return members
+    draws = min(len(members) * 4, int(count * 1.3) + 3)
+    picks = np.searchsorted(cdf, rng.random(draws), side="right")
+    unique = np.unique(picks)
+    if len(unique) > count:
+        unique = unique[rng.permutation(len(unique))[:count]]
+    return members[unique]
+
+
+@pytest.mark.parametrize("key", sorted(PROFILES), ids="/".join)
+def test_generate_equals_the_unmemoised_reference(key, monkeypatch):
+    profile = PROFILES[key]
+    fast = profile.generate("tiny", seed=0)
+    monkeypatch.setattr(AssignmentModel, "_sample_global", unmemoised_sample_global)
+    monkeypatch.setattr(
+        AssignmentModel, "_sample_biased", staticmethod(np_unique_sample_biased)
+    )
+    reference = profile.generate("tiny", seed=0)
+    assert fast.site_hosts == reference.site_hosts
+    assert np.array_equal(fast.site_ptr, reference.site_ptr)
+    assert np.array_equal(fast.entity_idx, reference.entity_idx)
+    if reference.multiplicity is None:
+        assert fast.multiplicity is None
+    else:
+        assert np.array_equal(fast.multiplicity, reference.multiplicity)

@@ -404,3 +404,25 @@ def test_all_compile_store_rejects_no_cache(tmp_path, capsys):
         ["all", str(tmp_path / "out"), "--compile-store", "--no-cache", *TINY]
     ) == 2
     assert "drop --no-cache" in capsys.readouterr().err
+
+
+def test_all_compile_store_reports_one_timing_per_pair(tmp_path, capsys):
+    """The perf report is written after the compile and times each pair's
+    ``store:<domain>:<attribute>`` task."""
+    report_path = tmp_path / "perf.json"
+    assert main([
+        "all", str(tmp_path / "out"), *TINY, "--workers", "2",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--journal-dir", str(tmp_path / "journal"),
+        "--compile-store", "--perf-report", str(report_path),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert out.index("store compiled") < out.index("perf report written")
+    report = json.loads(report_path.read_text())
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    store_timings = [t for t in report["timings"] if t["name"].startswith("store:")]
+    assert [t["name"] for t in store_timings] == sorted(
+        f"store:{domain}:{attribute}" for domain, attribute in manifest["spread_pairs"]
+    )
+    assert all(t["seconds"] > 0 for t in store_timings)
+    assert "table1" in {t["name"] for t in report["timings"]}

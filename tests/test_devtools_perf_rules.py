@@ -144,6 +144,80 @@ def test_perf003_allows_direct_iteration_and_bounded_range():
     ) == []
 
 
+# ---------------------------------------------------------------------------
+# PERF004: plain np.unique (numpy >= 2.3 hashes, then sorts)
+# ---------------------------------------------------------------------------
+
+
+def test_perf004_flags_plain_unique_however_numpy_is_imported():
+    assert _rules(
+        """
+        import numpy as np
+        import numpy
+        from numpy import unique
+
+        def f(a, b, c):
+            return np.unique(a), numpy.unique(b), unique(c)
+        """
+    ) == ["PERF004", "PERF004", "PERF004"]
+
+
+def test_perf004_flags_false_flags_and_unrelated_keywords():
+    assert _rules(
+        """
+        import numpy as np
+
+        def f(a):
+            return np.unique(a, return_counts=False, equal_nan=True)
+        """
+    ) == ["PERF004"]
+
+
+def test_perf004_allows_unique_that_asks_for_more():
+    assert _rules(
+        """
+        import numpy as np
+
+        def f(a, flags, options):
+            first = np.unique(a, return_index=True)
+            inverse = np.unique(a, return_inverse=True)
+            counts = np.unique(a, return_counts=True)
+            rows = np.unique(a, axis=0)
+            positional = np.unique(a, True)
+            starred = np.unique(*flags)
+            spread = np.unique(a, **options)
+            return first, inverse, counts, rows, positional, starred, spread
+        """
+    ) == []
+
+
+def test_perf004_ignores_other_unique_functions():
+    assert _rules(
+        """
+        import pandas as pd
+
+        def f(frame, unique):
+            return pd.unique(frame), unique(frame), frame.unique()
+        """
+    ) == []
+
+
+def test_perf004_is_selected_for_the_kernels_and_generators():
+    from pathlib import Path
+
+    from repro.devtools.config import load_config
+    from repro.devtools.registry import resolve_selectors
+
+    config = load_config(Path(__file__).resolve().parents[1] / "pyproject.toml")
+    for path in ("src/repro/core/coverage.py", "src/repro/traffic/logs.py",
+                 "src/repro/webgen/evolution.py"):
+        assert "PERF004" in resolve_selectors(config.selectors_for(path)), path
+    # The generators take only PERF004 of the family.
+    assert "PERF003" not in resolve_selectors(
+        config.selectors_for("src/repro/webgen/assignment.py")
+    )
+
+
 def test_perf_rules_respect_inline_suppression():
     assert _rules(
         """

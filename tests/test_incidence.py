@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.incidence import BipartiteIncidence, rank_by_size
+from repro.core.incidence import BipartiteIncidence, rank_by_size, sorted_unique
 
 
 def test_basic_accessors(tiny_incidence):
@@ -258,3 +258,35 @@ def test_drop_sites_everything_leaves_an_empty_incidence():
     assert empty.n_sites == 0
     assert empty.n_edges == 0
     assert empty.n_entities == 3
+
+
+# -- sorted_unique: np.unique's answer by one sort -------------------------
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.empty(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(5, 3, dtype=np.int64),
+        np.arange(10, dtype=np.int64)[::-1].copy(),
+        np.array([-5, 3, -5, 0, -(2**62), 2**62, 3], dtype=np.int64),
+        np.array([4, 1, 4, 2], dtype=np.int32),
+        np.array([[3, 1], [1, 2]], dtype=np.int64),
+        [5, 1, 5],
+    ],
+    ids=["empty", "one", "all-equal", "all-distinct", "negative", "int32",
+         "2-d", "list"],
+)
+def test_sorted_unique_equals_np_unique(values):
+    expected = np.unique(values)
+    got = sorted_unique(values)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=200))
+@settings(max_examples=100)
+def test_property_sorted_unique_equals_np_unique(values):
+    array = np.asarray(values, dtype=np.int64)
+    assert np.array_equal(sorted_unique(array), np.unique(array))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.traffic.demandmodel import get_site_profile
 from repro.traffic.logs import TrafficLog, TrafficLogGenerator, unique_cookie_demand
@@ -106,3 +107,51 @@ def test_deterministic_logs():
     b = TrafficLogGenerator(get_site_profile("imdb"), 100, seed=3).search_log(500)
     assert np.array_equal(a.entity, b.entity)
     assert np.array_equal(a.cookie, b.cookie)
+
+
+def np_unique_cookie_demand(log: TrafficLog) -> np.ndarray:
+    """The array path as first written, over ``np.unique``: the reference
+    the sort-based uniques must reproduce exactly."""
+    demand = np.zeros(log.n_entities, dtype=np.float64)
+    if log.n_events == 0:
+        return demand
+    cookie_space = np.int64(log.cookie.max()) + 1
+    if log.source == "search":
+        pair = (log.entity * 12 + log.month) * cookie_space + log.cookie
+        entity_of_pair = np.unique(pair) // cookie_space // 12
+    else:
+        pair = log.entity * cookie_space + log.cookie
+        entity_of_pair = np.unique(pair) // cookie_space
+    np.add.at(demand, entity_of_pair, 1.0)
+    return demand
+
+
+@st.composite
+def random_logs(draw):
+    n_entities = draw(st.integers(min_value=1, max_value=60))
+    n_events = draw(st.integers(min_value=0, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_cookies = draw(st.integers(min_value=1, max_value=5000))
+    return TrafficLog(
+        site="yelp",
+        source=draw(st.sampled_from(["search", "browse"])),
+        n_entities=n_entities,
+        entity=rng.integers(n_entities, size=n_events).astype(np.int64),
+        cookie=rng.integers(n_cookies, size=n_events).astype(np.int64),
+        month=rng.integers(12, size=n_events).astype(np.int64),
+    )
+
+
+@given(random_logs())
+@settings(max_examples=150, deadline=None)
+def test_property_demand_equals_np_unique_reference(log):
+    assert np.array_equal(
+        unique_cookie_demand(log), np_unique_cookie_demand(log)
+    )
+
+
+@pytest.mark.parametrize("source", ["search", "browse"])
+def test_generated_demand_equals_np_unique_reference(generator, source):
+    log = generator.search_log(5000) if source == "search" else generator.browse_log(5000)
+    assert np.array_equal(unique_cookie_demand(log), np_unique_cookie_demand(log))

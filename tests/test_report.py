@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -99,3 +100,41 @@ class TestCsv:
             rows = list(csv.reader(handle))
         assert rows[0] == ["series", "x", "y"]
         assert rows[1] == ["curve", "1.0", "0.1"]
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            {},
+            {'comma, "quote"\nnewline': ([1.0, 2.0], [3.0, 4.0])},
+            {"ints": ([1, 2, 3], np.array([4, 5, 6], dtype=np.int64))},
+            {
+                "float32": (
+                    np.arange(5, dtype=np.float32) / 3,
+                    np.linspace(0, 1, 5, dtype=np.float32),
+                )
+            },
+            {"list": ([0.1, 2, 3.5], [1e-5, 2**60, -0.0])},
+            {"special": (np.array([np.nan, np.inf, 1.0]), [float("nan"), -np.inf, 2.0])},
+            {"empty": ([], [])},
+            {"a": ([1, 2], [3, 4]), "b": (np.array([5.0]), np.array([6.0]))},
+        ],
+        ids=["no-series", "quoting", "int", "float32", "list", "nan-inf",
+             "empty-series", "two-series"],
+    )
+    def test_write_csv_bytes_match_the_row_reference(self, tmp_path, series):
+        """The bulk writer emits exactly the rows of series_to_csv."""
+        reference = io.StringIO(newline="")
+        csv.writer(reference).writerows(series_to_csv(series))
+        path = write_csv(tmp_path / "series.csv", series)
+        assert path.read_bytes() == reference.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [([None], TypeError), (["abc"], ValueError), ([[1.0], [2.0]], TypeError)],
+        ids=["none", "text", "nested"],
+    )
+    def test_write_csv_rejects_what_float_rejects(self, tmp_path, values, error):
+        with pytest.raises(error):
+            series_to_csv({"s": (values, [1.0] * len(values))})
+        with pytest.raises(error):
+            write_csv(tmp_path / "bad.csv", {"s": (values, [1.0] * len(values))})

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.perf import ArtifactCache, configure_cache
+from repro.perf import ArtifactCache, active_cache, configure_cache
+from repro.perf.cache import QUARANTINE_DIR
 from repro.pipeline.config import ExperimentConfig
 from repro.resilience import ENV_FAULTS, clear_plan_cache
 from repro.serve import ServeApp, ServeSettings, build_index
@@ -421,3 +422,79 @@ def test_open_backend_rejects_unknown_tier(tmp_path):
             open_backend(MANIFEST, "tape")
     finally:
         configure_cache(previous)
+
+
+# -- the compile fans out per pair and recompiles only what is missing -------
+
+FANOUT = Manifest(
+    config=CONFIG,
+    spread_pairs=(
+        ("restaurants", "phone"),
+        ("restaurants", "homepage"),
+        ("books", "isbn"),
+    ),
+    traffic_sites=("imdb",),
+    artifacts=(),
+)
+
+
+def cache_bytes(directory) -> dict[str, bytes]:
+    """Every published file under a cache (quarantine excluded)."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file() and QUARANTINE_DIR not in path.relative_to(directory).parts
+    }
+
+
+def test_build_store_on_two_workers_publishes_the_same_bytes(tmp_path):
+    published = {}
+    for workers in (1, 2):
+        caller_cache = ArtifactCache(directory=tmp_path / "caller")
+        previous = configure_cache(caller_cache)
+        timed: list[str] = []
+        try:
+            cache = ArtifactCache(directory=tmp_path / f"workers{workers}")
+            store = build_store(
+                FANOUT,
+                cache=cache,
+                workers=workers,
+                on_complete=lambda outcome: timed.append(outcome.name),
+            )
+            assert active_cache() is caller_cache
+        finally:
+            configure_cache(previous)
+        assert sorted(timed) == sorted(
+            f"store:{domain}:{attribute}" for domain, attribute in FANOUT.spread_pairs
+        )
+        assert [(r["domain"], r["attribute"]) for r in store.meta["pairs"]] == list(
+            FANOUT.spread_pairs
+        )
+        published[workers] = cache_bytes(cache.directory)
+    assert published[1].keys() == published[2].keys()
+    assert published[1] == published[2]
+
+
+def test_recompile_materializes_only_the_pair_that_lost_a_blob(tmp_path, monkeypatch):
+    import repro.store.compile as store_compile
+
+    cache = ArtifactCache(directory=tmp_path / "cache")
+    first = build_store(FANOUT, cache=cache)
+    before = cache_bytes(cache.directory)
+    blob = first.pair_blobs[("restaurants", "homepage")]["coverage"]
+    blob.write_bytes(blob.read_bytes()[:-8] + b"\xff" * 8)
+
+    materialized: list[str] = []
+    pair_arrays = store_compile._pair_arrays
+
+    def spy(incidence, ks):
+        # Hosts carry the pair: site-000000.<domain>-<attribute>.example.com
+        materialized.append(incidence.site_hosts[0].split(".")[1])
+        return pair_arrays(incidence, ks)
+
+    monkeypatch.setattr(store_compile, "_pair_arrays", spy)
+    rebuilt = build_store(FANOUT, cache=cache)
+    assert materialized == ["restaurants-homepage"]
+    assert [p.name for p in cache.quarantined_entries()] == [blob.name]
+    assert rebuilt.meta == first.meta
+    assert cache_bytes(cache.directory) == before
