@@ -247,6 +247,26 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    import signal
+
+    # SIGTERM takes Ctrl-C's path: KeyboardInterrupt unwinds the run,
+    # and each executor shuts its worker pool down on the way out (the
+    # workers themselves exit once this process is gone).
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        return _run_all(args)
+    except KeyboardInterrupt:
+        print(
+            f"\ninterrupted; finish the journaled run with: "
+            f"repro all {args.output} --resume",
+            file=sys.stderr,
+        )
+        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run_all(args: argparse.Namespace) -> int:
     from repro.pipeline.config import ExecutionSettings
     from repro.pipeline.runall import run_everything_with_report
     from repro.resilience import JournalMismatchError

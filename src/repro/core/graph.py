@@ -13,12 +13,19 @@ quantities it reports are:
 - robustness: the same after deleting the top-k sites (is the graph
   held together only by a few head aggregators?).
 
-Components come from a union-find with path compression and union by
-size.  The diameter uses the iFUB algorithm seeded by a double-sweep:
-exact, and fast on small-diameter graphs because the upper and lower
-bounds meet after a handful of BFS traversals.  BFS runs on a CSR
-adjacency with vectorized frontier expansion, so graphs with millions
-of edges are practical in pure numpy.
+Every kernel is numpy over the CSR adjacency :class:`EntitySiteGraph`
+builds; nothing here imports scipy.  Components come from hook and
+shortcut: each edge hooks the larger of its endpoints' roots under the
+smaller, then pointer jumping flattens the forest, so every node ends
+up labelled with the smallest node id in its component after a few
+rounds (:class:`UnionFind` cross-checks it in the tests).  BFS is
+direction-optimizing (Beamer et al., SC 2012): each level reads
+whichever is shorter, the frontier's neighbour lists (top-down) or the
+unvisited nodes' (bottom-up).  The diameter uses the Takes–Kosters
+BoundingDiameters algorithm seeded by a double sweep.  Figure 9's
+robustness curve runs in reverse: label the graph without the top
+sites once, then add them back one by one through a union-find over
+component roots.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, sorted_unique
 
 __all__ = [
     "ComponentSummary",
@@ -136,27 +143,9 @@ class EntitySiteGraph:
         self._adj = np.empty(2 * n_edges, dtype=np.int64)
         self._adj[:n_edges] = edge_sites[order]
         self._adj[n_edges:] = incidence.entity_idx
-        self._sparse = None
+        self._degrees = np.diff(self._adj_ptr)
+        self._present = np.flatnonzero(self._degrees > 0)
         self._labels = None
-
-    def _sparse_adjacency(self):
-        """The adjacency as a scipy CSR matrix (built once, shared).
-
-        Data is float64 so the csgraph routines do not re-convert the
-        matrix on every call.
-        """
-        if self._sparse is None:
-            from scipy.sparse import csr_matrix
-
-            self._sparse = csr_matrix(
-                (
-                    np.ones(len(self._adj), dtype=np.float64),
-                    self._adj,
-                    self._adj_ptr,
-                ),
-                shape=(self.n_nodes, self.n_nodes),
-            )
-        return self._sparse
 
     # -- basic structure -------------------------------------------------------
 
@@ -170,36 +159,38 @@ class EntitySiteGraph:
 
     def present_nodes(self) -> np.ndarray:
         """Nodes with at least one edge."""
-        return np.flatnonzero(np.diff(self._adj_ptr) > 0)
+        return self._present.copy()
 
     # -- components -------------------------------------------------------------
 
     def component_labels(self) -> np.ndarray:
-        """Component label per node (computed once, shared).
+        """Smallest node id in each node's component (computed once, shared).
 
-        The adjacency stores both directions of every edge, so *strong*
-        connectivity coincides with undirected connectivity — and the
-        strong variant (Tarjan's algorithm) runs directly on the CSR
-        matrix, skipping the symmetrization/CSC conversion that
-        ``directed=False`` would pay on every call.
+        A node without edges is its own component.  The site half of
+        the adjacency lists every edge once, which is all hooking needs.
         """
         if self._labels is None:
-            from scipy.sparse.csgraph import connected_components
-
-            __, self._labels = connected_components(
-                self._sparse_adjacency(), directed=True, connection="strong"
+            n_entities = self.incidence.n_entities
+            self._labels = _min_labels(
+                self.n_nodes,
+                self._adj[self._adj_ptr[n_entities]:],
+                np.repeat(
+                    np.arange(n_entities, self.n_nodes),
+                    self._degrees[n_entities:],
+                ),
             )
         return self._labels
 
     def components(self) -> ComponentSummary:
         """Summarize the component structure over present nodes.
 
-        Uses :func:`scipy.sparse.csgraph.connected_components` over the
-        bipartite adjacency; :class:`UnionFind` provides the same answer
-        and cross-checks it in the test suite.
+        Components are ordered by label, i.e. by their smallest node
+        id, so the largest one is the first of the biggest: the one
+        holding the smallest entity id.  :class:`UnionFind` gives the
+        same partition and cross-checks it in the test suite.
         """
         inc = self.incidence
-        present = np.diff(self._adj_ptr) > 0
+        present = self._degrees > 0
         entity_present = present[:inc.n_entities]
         site_present = present[inc.n_entities:]
         n_present_entities = int(entity_present.sum())
@@ -233,24 +224,40 @@ class EntitySiteGraph:
     def bfs_levels(self, source: int) -> np.ndarray:
         """BFS distance from ``source`` to every node (-1 when unreachable).
 
-        Runs as an unweighted shortest-path query over the shared CSR
-        adjacency via ``scipy.sparse.csgraph`` — a C-level BFS, which is
-        what makes the hundreds of traversals behind the exact-diameter
-        computation (Table 2) practical on graphs with millions of
-        edges.  The adjacency already stores both edge directions, so
-        the query runs in directed mode to skip symmetrization.
+        Direction-optimizing: each level reads whichever side holds
+        fewer adjacency entries.  Top-down gathers the frontier's
+        neighbour lists and keeps the unvisited nodes among them;
+        bottom-up gathers every unvisited node's list and keeps the
+        nodes with a neighbour on the frontier.  On these dense,
+        small-diameter graphs the middle levels go bottom-up, which is
+        what makes the hundreds of traversals behind the exact diameter
+        (Table 2) cheap.
         """
-        from scipy.sparse.csgraph import dijkstra
-
-        distances = dijkstra(
-            self._sparse_adjacency(),
-            directed=True,
-            unweighted=True,
-            indices=int(source),
-        )
+        source = int(source)
+        ptr, adj, degrees = self._adj_ptr, self._adj, self._degrees
         levels = np.full(self.n_nodes, -1, dtype=np.int64)
-        reachable = np.isfinite(distances)
-        levels[reachable] = distances[reachable].astype(np.int64)
+        levels[source] = 0
+        frontier = np.array([source], dtype=np.int64)
+        frontier_degrees = degrees[frontier]
+        frontier_entries = int(frontier_degrees.sum())
+        unvisited_entries = len(adj) - frontier_entries
+        slot = np.empty(self.n_nodes, dtype=np.int64)
+        level = 0
+        while frontier_entries and unvisited_entries:
+            level += 1
+            if frontier_entries <= unvisited_entries:
+                frontier = _top_down(
+                    ptr, adj, frontier, frontier_degrees, levels, slot
+                )
+            else:
+                unvisited = self._present[levels[self._present] < 0]
+                frontier = _bottom_up(
+                    ptr, adj, unvisited, degrees[unvisited], levels, level
+                )
+            levels[frontier] = level
+            frontier_degrees = degrees[frontier]
+            frontier_entries = int(frontier_degrees.sum())
+            unvisited_entries -= frontier_entries
         return levels
 
     def eccentricity(self, node: int) -> int:
@@ -282,7 +289,7 @@ class EntitySiteGraph:
         present = self.present_nodes()
         if len(present) == 0:
             return np.empty(0, dtype=np.int64)
-        degrees = np.diff(self._adj_ptr)
+        degrees = self._degrees
         hub = int(present[np.argmax(degrees[present])])
         component = np.flatnonzero(self.bfs_levels(hub) >= 0)
         picks = rng.choice(
@@ -371,7 +378,7 @@ class EntitySiteGraph:
         """BoundingDiameters within one connected component."""
         if len(component) <= 1:
             return 0
-        degrees = np.diff(self._adj_ptr)
+        degrees = self._degrees
         start = int(component[np.argmax(degrees[component])])
 
         ecc_lower = np.zeros(self.n_nodes, dtype=np.int64)
@@ -464,18 +471,159 @@ def robustness_curve(
     number of entities present in the *original* graph, so entities
     stranded by the removal count against the fraction.
 
+    "Largest" is by present node count, ties going to the component
+    with the smallest entity id, as :meth:`EntitySiteGraph.components`
+    picks it.  The curve runs in reverse: the graph without all
+    removed sites is labelled once, and each site is then added back
+    by merging its entities' components in a union-find whose roots
+    are each component's smallest entity id (removing sites never
+    renumbers entities).
+
     Returns:
         ``(ks, fractions)`` arrays of length ``max_removed + 1``.
     """
     if max_removed < 0:
         raise ValueError("max_removed must be non-negative")
     original_entities = len(incidence.mentioned_entities())
-    ranking = incidence.sites_by_size()
     ks = np.arange(max_removed + 1)
     fractions = np.zeros(len(ks))
-    for i, k in enumerate(ks):
-        remaining = incidence.drop_sites(ranking[:k]) if k else incidence
-        summary = EntitySiteGraph(remaining).components()
-        if original_entities:
-            fractions[i] = summary.largest_component_entities / original_entities
+    if not original_entities:
+        return ks, fractions
+    n_entities, n_sites = incidence.n_entities, incidence.n_sites
+    removed = incidence.sites_by_size()[:max_removed]
+    sizes = incidence.site_sizes()
+    kept_site = np.ones(n_sites, dtype=bool)
+    kept_site[removed] = False
+    kept_edge = np.repeat(kept_site, sizes)
+    kept_entities = incidence.entity_idx[kept_edge]
+    labels = _min_labels(
+        n_entities + n_sites,
+        kept_entities,
+        n_entities + np.repeat(np.arange(n_sites), sizes)[kept_edge],
+    )
+    # Every present node's label is its component's smallest entity id.
+    parent = labels[:n_entities].copy()
+    present = np.zeros(n_entities, dtype=bool)
+    present[kept_entities] = True
+    entity_count = np.bincount(parent[present], minlength=n_entities)
+    site_count = np.bincount(
+        labels[n_entities:][kept_site & (sizes > 0)], minlength=n_entities
+    )
+    node_count = entity_count + site_count
+    best = int(np.argmax(node_count))
+    best_size = int(node_count[best])
+    fractions[len(removed):] = entity_count[best] / original_entities
+    for k in range(len(removed), 0, -1):
+        entities = incidence.site_entities(int(removed[k - 1]))
+        if len(entities):
+            fresh = entities[~present[entities]]
+            present[fresh] = True
+            entity_count[fresh] = 1
+            roots = sorted_unique(_find_roots(parent, entities))
+            root = int(roots[0])
+            entities_in = int(entity_count[roots].sum())
+            sites_in = int(site_count[roots].sum()) + 1
+            parent[roots] = root
+            entity_count[root] = entities_in
+            site_count[root] = sites_in
+            size = entities_in + sites_in
+            if size > best_size or (size == best_size and root < best):
+                best, best_size = root, size
+        fractions[k - 1] = entity_count[best] / original_entities
     return ks, fractions
+
+
+def _top_down(
+    ptr: np.ndarray,
+    adj: np.ndarray,
+    frontier: np.ndarray,
+    frontier_degrees: np.ndarray,
+    levels: np.ndarray,
+    slot: np.ndarray,
+) -> np.ndarray:
+    """The next frontier: unvisited neighbours of the frontier, once each.
+
+    ``slot`` is scratch space of one entry per node: the last occurrence
+    of each reached node keeps its position, so no sort is needed.
+    """
+    reached = adj[_gather(ptr, frontier, frontier_degrees)[0]]
+    reached = reached[levels[reached] < 0]
+    order = np.arange(len(reached))
+    slot[reached] = order
+    return reached[slot[reached] == order]
+
+
+def _bottom_up(
+    ptr: np.ndarray,
+    adj: np.ndarray,
+    unvisited: np.ndarray,
+    unvisited_degrees: np.ndarray,
+    levels: np.ndarray,
+    level: int,
+) -> np.ndarray:
+    """The next frontier: unvisited nodes with a neighbour at ``level - 1``.
+
+    Every node in ``unvisited`` has at least one neighbour, so each
+    owns a non-empty run of the gathered lists and ``reduceat`` ORs
+    exactly that run.
+    """
+    entries, starts = _gather(ptr, unvisited, unvisited_degrees)
+    on_frontier = levels[adj[entries]] == level - 1
+    return unvisited[np.logical_or.reduceat(on_frontier, starts)]
+
+
+def _gather(
+    ptr: np.ndarray, nodes: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency positions of ``nodes``' neighbour lists, concatenated.
+
+    ``counts`` are the nodes' degrees.  Returns the positions and where
+    each node's run starts among them.
+    """
+    starts = np.cumsum(counts) - counts
+    positions = np.arange(int(counts.sum())) + np.repeat(ptr[nodes] - starts, counts)
+    return positions, starts
+
+
+def _min_labels(n_nodes: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Smallest node id in each node's component, by hook and shortcut.
+
+    Each round, every edge whose endpoints sit in different trees hooks
+    the larger of the two roots under the smaller (``np.minimum.at``),
+    then pointer jumping flattens the forest.  A parent is never larger
+    than its child, so the root of every finished tree is its smallest
+    node.  Edges inside one tree stay inside it and drop out.  Rounds
+    shrink the forest geometrically in practice (11 on a shuffled
+    200,000-node path), where plain min-label propagation needs as many
+    rounds as the diameter.
+    """
+    labels = np.arange(n_nodes, dtype=np.int64)
+    while True:
+        head_roots, tail_roots = labels[heads], labels[tails]
+        crossing = head_roots != tail_roots
+        if not crossing.any():
+            return labels
+        heads, tails = heads[crossing], tails[crossing]
+        head_roots, tail_roots = head_roots[crossing], tail_roots[crossing]
+        np.minimum.at(
+            labels,
+            np.maximum(head_roots, tail_roots),
+            np.minimum(head_roots, tail_roots),
+        )
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _find_roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Union-find roots of ``nodes``, compressing their paths."""
+    roots = parent[nodes]
+    while True:
+        above = parent[roots]
+        if np.array_equal(above, roots):
+            break
+        roots = above
+    parent[nodes] = roots
+    return roots

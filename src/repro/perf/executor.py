@@ -19,6 +19,8 @@ On top of the scheduling sits the resilience contract
   the pool down and rebuilds it; when the pool cannot be rebuilt (or
   keeps dying) the executor *degrades* to in-process serial execution
   rather than losing the run;
+- no worker outlives its driver: each watches the driver's process
+  sentinel and exits once the driver is gone, by any signal;
 - a task that exhausts its attempts fails *alone*: only tasks whose
   required artifacts it would have provided are skipped, every
   independent DAG branch still completes, and the failures/skips are
@@ -40,6 +42,11 @@ from __future__ import annotations
 import collections
 import dataclasses
 import logging
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -234,6 +241,38 @@ def _run_attempt(task: ExperimentTask, attempt: int, in_worker: bool) -> TaskOut
     if plan is not None:
         plan.apply_task_faults(task.name, attempt, in_worker=in_worker)
     return _run_one(task)
+
+
+def _worker_pool(max_workers: int) -> ProcessPoolExecutor:
+    """The default pool: its workers exit when the driver dies."""
+    return ProcessPoolExecutor(
+        max_workers=max_workers, initializer=_exit_with_driver
+    )
+
+
+def _exit_with_driver() -> None:
+    """Pool-worker initializer: exit as soon as the driver process is gone.
+
+    A watcher thread waits on the parent's sentinel, which becomes ready
+    when the driver exits or is killed by any signal, so a worker never
+    outlives its run.  SIGTERM gets its default action back: the driver
+    may have routed it to KeyboardInterrupt before forking this worker,
+    and the pool's own teardown terminates workers with it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    driver = multiprocessing.parent_process()
+    if driver is not None:
+        threading.Thread(
+            target=_exit_when_ready,
+            args=(driver.sentinel,),
+            name="repro-driver-watch",
+            daemon=True,
+        ).start()
+
+
+def _exit_when_ready(sentinel: int) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 class _StagedRunner:
@@ -523,14 +562,15 @@ def execute_tasks(
         on_complete: Optional callback invoked in the driver process
             after each successful task (checkpoint journaling).
         pool_factory: Worker-pool constructor (tests inject failing
-            factories to exercise degraded mode); defaults to
-            ``ProcessPoolExecutor``.
+            factories to exercise degraded mode); defaults to a
+            ``ProcessPoolExecutor`` whose workers exit when this
+            process dies, by any signal.
     """
     stages = stage_tasks(tasks)
     runner = _StagedRunner(
         policy=policy or RetryPolicy.single_shot(),
         workers=workers,
-        pool_factory=pool_factory or ProcessPoolExecutor,
+        pool_factory=pool_factory or _worker_pool,
         on_complete=on_complete,
         raise_on_failure=raise_on_failure,
     )

@@ -9,7 +9,7 @@ external plotting.
 from __future__ import annotations
 
 import csv
-from itertools import repeat
+import io
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -138,16 +138,29 @@ def write_csv(
     path: str | Path,
     series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
 ) -> Path:
-    """Write labelled series to a long-format CSV file."""
+    """Write labelled series to a long-format CSV file.
+
+    The rows of :func:`series_to_csv`, as ``csv.writer`` spells them.
+    Floats never need quoting and ``csv`` writes them as ``repr``, so
+    only the label goes through the csv module, once per series.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["series", "x", "y"])
-        # The rows of series_to_csv, one bulk conversion per column.
+        handle.write("series,x,y\r\n")
         for label, (xs, ys) in series.items():
-            writer.writerows(zip(repeat(label), _floats(xs), _floats(ys)))
+            prefix = _csv_prefix(label)
+            rows = zip(_floats(xs), _floats(ys))
+            handle.write("".join([f"{prefix}{x!r},{y!r}\r\n" for x, y in rows]))
     return path
+
+
+def _csv_prefix(label: object) -> str:
+    """``label`` as the first field of a ``csv.writer`` row, with its comma."""
+    buffer = io.StringIO(newline="")
+    # A second (empty) field: csv quotes a lone empty field as "".
+    csv.writer(buffer).writerow([label, ""])
+    return buffer.getvalue()[:-2]
 
 
 def _floats(values: Sequence[float]) -> list[float]:

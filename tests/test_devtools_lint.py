@@ -477,7 +477,11 @@ def test_cli_runs_as_module():
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 0
     assert "RNG001" in proc.stdout and "LAY001" in proc.stdout

@@ -1,7 +1,9 @@
 """Unit and property tests for the entity-site graph analysis.
 
 Components, BFS distances, and exact diameters are cross-checked
-against networkx on randomized graphs.
+against networkx on randomized graphs; component labels against
+:class:`UnionFind`, and the reverse robustness curve against the
+per-k loop it replaced.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import graph as graph_module
 from repro.core.graph import (
     EntitySiteGraph,
     GraphMetrics,
@@ -27,6 +30,59 @@ def to_networkx(inc: BipartiteIncidence) -> nx.Graph:
         for e in inc.site_entities(s).tolist():
             graph.add_edge(e, site_node)
     return graph
+
+
+def loop_robustness_curve(incidence, max_removed):
+    """The per-k reference: drop the top k sites and relabel, each k."""
+    original_entities = len(incidence.mentioned_entities())
+    ranking = incidence.sites_by_size()
+    ks = np.arange(max_removed + 1)
+    fractions = np.zeros(len(ks))
+    for i, k in enumerate(ks):
+        remaining = incidence.drop_sites(ranking[:k]) if k else incidence
+        summary = EntitySiteGraph(remaining).components()
+        if original_entities:
+            fractions[i] = summary.largest_component_entities / original_entities
+    return ks, fractions
+
+
+def union_find_labels(n_nodes, edges):
+    """Smallest node id per component, via UnionFind."""
+    uf = UnionFind(n_nodes)
+    for a, b in edges:
+        uf.union(int(a), int(b))
+    roots = uf.roots()
+    smallest = np.full(n_nodes, n_nodes, dtype=np.int64)
+    np.minimum.at(smallest, roots, np.arange(n_nodes))
+    return smallest[roots]
+
+
+def graph_edges(graph):
+    """Every (entity, site node) edge of an EntitySiteGraph."""
+    inc = graph.incidence
+    sites = np.repeat(np.arange(inc.n_sites), inc.site_sizes()) + inc.n_entities
+    return list(zip(inc.entity_idx.tolist(), sites.tolist()))
+
+
+@st.composite
+def incidences_with_empty_sites(draw):
+    """Small incidences: empty sites, tied site sizes, unmentioned entities."""
+    n_entities = draw(st.integers(min_value=1, max_value=12))
+    n_sites = draw(st.integers(min_value=0, max_value=8))
+    sites = [
+        (
+            f"s{s}",
+            draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_entities - 1),
+                    max_size=4,
+                    unique=True,
+                )
+            ),
+        )
+        for s in range(n_sites)
+    ]
+    return BipartiteIncidence.from_site_lists(n_entities=n_entities, sites=sites)
 
 
 # -- UnionFind -------------------------------------------------------------------
@@ -212,6 +268,93 @@ def test_property_components_exact(inc):
     assert summary.n_components == nx.number_connected_components(reference)
 
 
+# -- numpy kernels ---------------------------------------------------------------------
+
+
+class TestKernels:
+    def test_component_labels_match_union_find_on_a_shuffled_long_path(self):
+        """200,000 nodes in random id order, cut into five paths.
+
+        Min-label propagation would need a round per hop here; hook and
+        shortcut needs a handful.
+        """
+        rng = np.random.default_rng(5)
+        n_entities = 100_000
+        path = rng.permutation(n_entities)
+        # Site s joins path[s] and path[s + 1], except every 25,000th,
+        # which holds path[s] alone; sites are stored in shuffled order.
+        links = np.flatnonzero(np.arange(n_entities - 1) % 25_000 != 0)
+        firsts = np.arange(n_entities - 1)
+        edge_site = np.concatenate([firsts, links])
+        edge_entity = np.concatenate([path[firsts], path[links + 1]])
+        site_order = rng.permutation(n_entities - 1)
+        rank = np.argsort(site_order)[edge_site]
+        edges = np.argsort(rank, kind="stable")
+        inc = BipartiteIncidence(
+            n_entities=n_entities,
+            site_hosts=[f"s{s}" for s in range(n_entities - 1)],
+            site_ptr=np.concatenate([[0], np.cumsum(np.bincount(rank))]),
+            entity_idx=edge_entity[edges],
+        )
+        graph = EntitySiteGraph(inc)
+        expected = union_find_labels(graph.n_nodes, graph_edges(graph))
+        assert np.array_equal(graph.component_labels(), expected)
+        assert graph.components().n_components == 5
+
+    @given(incidences_with_empty_sites())
+    @settings(max_examples=80, deadline=None)
+    def test_component_labels_are_the_smallest_node_id(self, inc):
+        graph = EntitySiteGraph(inc)
+        expected = union_find_labels(graph.n_nodes, graph_edges(graph))
+        assert np.array_equal(graph.component_labels(), expected)
+
+    def test_bfs_runs_bottom_up_levels_and_matches_networkx(self, monkeypatch):
+        """Dense components, isolated nodes and degree-0 sources."""
+        rng = np.random.default_rng(11)
+        sites = [
+            rng.choice(hi - lo, size=int(rng.integers(1, hi - lo)), replace=False) + lo
+            for lo, hi, n_sites in ((0, 60, 60), (60, 70, 5), (70, 76, 3))
+            for __ in range(n_sites)
+        ]
+        n_entities = 80  # entities 76..79 are mentioned nowhere
+        inc = BipartiteIncidence.from_site_lists(
+            n_entities=n_entities,
+            sites=[(f"s{i}", members.tolist()) for i, members in enumerate(sites)]
+            + [("empty", [])],
+        )
+        graph, reference = EntitySiteGraph(inc), to_networkx(inc)
+        assert graph.degree(79) == 0 and graph.degree(graph.n_nodes - 1) == 0
+        levels_seen = []
+        bottom_up = graph_module._bottom_up
+        monkeypatch.setattr(
+            graph_module,
+            "_bottom_up",
+            lambda *args: levels_seen.append(args[-1]) or bottom_up(*args),
+        )
+        for source in (0, 39, 41, 75, 79, n_entities, graph.n_nodes - 1):
+            expected = np.full(graph.n_nodes, -1)
+            expected[source] = 0
+            if source in reference:
+                for node, distance in nx.single_source_shortest_path_length(
+                    reference, source
+                ).items():
+                    expected[node] = distance
+            assert np.array_equal(graph.bfs_levels(source), expected), source
+        assert levels_seen, "no level went bottom-up"
+
+    @given(connected_ish_incidence())
+    @settings(max_examples=60, deadline=None)
+    def test_property_bfs_matches_networkx(self, inc):
+        graph, reference = EntitySiteGraph(inc), to_networkx(inc)
+        for source in graph.present_nodes().tolist():
+            expected = np.full(graph.n_nodes, -1)
+            for node, distance in nx.single_source_shortest_path_length(
+                reference, source
+            ).items():
+                expected[node] = distance
+            assert np.array_equal(graph.bfs_levels(source), expected)
+
+
 # -- metrics & robustness --------------------------------------------------------------
 
 
@@ -239,6 +382,45 @@ class TestMetricsAndRobustness:
     def test_robustness_rejects_negative(self, tiny_incidence):
         with pytest.raises(ValueError):
             robustness_curve(tiny_incidence, max_removed=-1)
+
+    @given(incidences_with_empty_sites(), st.integers(min_value=0, max_value=11))
+    @settings(max_examples=150, deadline=None)
+    def test_property_robustness_matches_the_per_k_loop(self, inc, max_removed):
+        """Empty sites, tied sizes, and max_removed from 0 past n_sites."""
+        ks, fractions = robustness_curve(inc, max_removed=max_removed)
+        ref_ks, ref_fractions = loop_robustness_curve(inc, max_removed)
+        assert np.array_equal(ks, ref_ks)
+        assert fractions.tobytes() == ref_fractions.tobytes()
+
+    def test_robustness_matches_the_per_k_loop_on_random_graphs(self, random_incidence):
+        for max_removed in (0, 3, 10, random_incidence.n_sites + 2):
+            ks, fractions = robustness_curve(random_incidence, max_removed)
+            ref_ks, ref_fractions = loop_robustness_curve(random_incidence, max_removed)
+            assert np.array_equal(ks, ref_ks)
+            assert fractions.tobytes() == ref_fractions.tobytes()
+
+    def test_equal_node_counts_go_to_the_smaller_node_id(self):
+        """Two 4-node components: {0, 1, 2} + 1 site and {3, 4} + 2 sites.
+
+        The first holds node 0 and more entities; the second wins only
+        if ties went the other way.  Removing the top site (size 3, the
+        first component's only site) leaves the second alone.
+        """
+        sites = [("a", [0, 1, 2]), ("b", [3, 4]), ("c", [4])]
+        inc = BipartiteIncidence.from_site_lists(n_entities=5, sites=sites)
+        summary = EntitySiteGraph(inc).components()
+        largest = (summary.largest_component_entities, summary.largest_component_sites)
+        assert largest == (3, 1)
+        __, fractions = robustness_curve(inc, max_removed=1)
+        assert fractions.tolist() == [3 / 5, 2 / 5]
+        # Mirrored ids: the 2-entity component now holds node 0 and wins.
+        mirrored = [("a", [2, 3, 4]), ("b", [0, 1]), ("c", [0])]
+        inc = BipartiteIncidence.from_site_lists(n_entities=5, sites=mirrored)
+        summary = EntitySiteGraph(inc).components()
+        largest = (summary.largest_component_entities, summary.largest_component_sites)
+        assert largest == (2, 2)
+        __, fractions = robustness_curve(inc, max_removed=1)
+        assert fractions.tolist() == [2 / 5, 2 / 5]
 
     def test_robustness_monotone_nonincreasing(self, random_incidence):
         __, fractions = robustness_curve(random_incidence, max_removed=5)

@@ -4,8 +4,9 @@ IMP001 enforces this statically from the committed import-cost tables;
 these tests enforce it dynamically: a fresh interpreter importing the
 serve tier must not load ``repro.pipeline.experiments`` (or the other
 heavy batch modules) nor the stdlib ``http.server`` (its one HTTP
-shell is ``repro.serve.fasthttp``), and the PEP 562 lazy exports of
-``repro.pipeline`` must still behave like the old eager ones.
+shell is ``repro.serve.fasthttp``), the PEP 562 lazy exports of
+``repro.pipeline`` must still behave like the old eager ones, and the
+Section 5 experiments (Table 2, Figure 9) must not load scipy.
 """
 
 import subprocess
@@ -29,7 +30,11 @@ def _loaded_after(statement):
         text=True,
         check=True,
         cwd=REPO_ROOT,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": "src",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     return set(proc.stdout.split())
 
@@ -52,6 +57,19 @@ def test_importing_pipeline_package_is_lazy():
     loaded = _loaded_after("import repro.pipeline")
     for heavy in HEAVY_BATCH_MODULES:
         assert heavy not in loaded, heavy
+
+
+def test_table2_and_figure9_run_without_scipy():
+    """The connectivity kernels are numpy; scipy stays off the batch path."""
+    loaded = _loaded_after(
+        "from repro.pipeline.config import ExperimentConfig\n"
+        "from repro.pipeline.experiments import run_figure9, run_table2\n"
+        "config = ExperimentConfig(scale='tiny')\n"
+        "run_table2(config)\n"
+        "run_figure9(config)"
+    )
+    assert "repro.core.graph" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 
 
 def test_lazy_exports_resolve_and_cache():

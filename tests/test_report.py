@@ -7,6 +7,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.report.figures import ascii_plot, series_to_csv, write_csv
 from repro.report.tables import ascii_table, format_float
@@ -83,6 +84,23 @@ class TestPlots:
         assert "flat" in chart
 
 
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 1e-308]
+)
+_FLOATS = st.floats(allow_subnormal=True) | _SPECIAL_FLOATS
+_INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_COLUMNS = st.one_of(
+    st.lists(_FLOATS, max_size=8),
+    st.lists(_FLOATS, max_size=8).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.floats(width=32, allow_subnormal=True), max_size=8).map(
+        lambda v: np.array(v, dtype=np.float32)
+    ),
+    st.lists(_INTS, max_size=8),
+    st.lists(_INTS, max_size=8).map(lambda v: np.array(v, dtype=np.int64)),
+)
+
+
 class TestCsv:
     def test_series_to_csv_long_format(self):
         rows = series_to_csv({"s": ([1, 2], [3.0, 4.0])})
@@ -126,6 +144,26 @@ class TestCsv:
         reference = io.StringIO(newline="")
         csv.writer(reference).writerows(series_to_csv(series))
         path = write_csv(tmp_path / "series.csv", series)
+        assert path.read_bytes() == reference.getvalue().encode()
+
+    @given(
+        series=st.dictionaries(
+            st.text(
+                st.characters(blacklist_categories=("Cs",))
+                | st.sampled_from([",", '"', "\r", "\n", "é", "€"])
+            ),
+            st.tuples(_COLUMNS, _COLUMNS),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_write_csv_bytes_match_the_row_reference(
+        self, tmp_path_factory, series
+    ):
+        """Any labels, any float or int columns, unequal lengths too."""
+        reference = io.StringIO(newline="")
+        csv.writer(reference).writerows(series_to_csv(series))
+        path = write_csv(tmp_path_factory.mktemp("csv") / "series.csv", series)
         assert path.read_bytes() == reference.getvalue().encode()
 
     @pytest.mark.parametrize(

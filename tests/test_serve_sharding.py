@@ -14,7 +14,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,13 @@ from repro.serve.loadgen import (
     run_open_load,
 )
 from repro.serve.sharding import ShardPlan, ShardedServer
+from tests.processes import (
+    LIFECYCLE_BOUND_S,
+    children,
+    eventually,
+    exited,
+    needs_proc,
+)
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
 
@@ -332,50 +338,6 @@ def test_worker_metrics_report_worker_id(index):
 
 
 # -- lifecycle of a forked deployment -------------------------------------------
-#
-# Each check polls for up to _LIFECYCLE_BOUND_S.  Workers were measured gone
-# within 0.2 s of their supervisor; the bound is generous so that the verdict
-# does not depend on host speed.
-
-_LIFECYCLE_BOUND_S = 30.0
-
-needs_proc = pytest.mark.skipif(
-    not os.path.isdir("/proc/self"), reason="reads process state from /proc"
-)
-
-
-def _eventually(check, interval=0.05):
-    """Poll ``check`` for about _LIFECYCLE_BOUND_S; True once it holds."""
-    for __ in range(int(_LIFECYCLE_BOUND_S / interval)):
-        if check():
-            return True
-        time.sleep(interval)
-    return check()
-
-
-def _proc_stat(pid):
-    """``/proc/<pid>/stat`` fields after the command name, or None."""
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rsplit(")", 1)[1].split()
-    except OSError:
-        return None
-
-
-def _exited(pid):
-    """True once ``pid`` is gone or a zombie waiting to be reaped."""
-    fields = _proc_stat(pid)
-    return fields is None or fields[0] == "Z"
-
-
-def _children(pid):
-    """PIDs of the live processes whose parent is ``pid``."""
-    children = []
-    for entry in os.listdir("/proc"):
-        fields = _proc_stat(entry) if entry.isdigit() else None
-        if fields is not None and fields[0] != "Z" and int(fields[1]) == pid:
-            children.append(int(entry))
-    return children
 
 
 def _port_free(port):
@@ -437,7 +399,7 @@ def _serving_two_workers(run_dir, **popen):
             banner = serve.stdout.readline()
             assert banner, "repro serve exited before serving"
         port = int(re.search(r":(\d+) with 2 workers", banner).group(1))
-        workers = _children(serve.pid)
+        workers = children(serve.pid)
         assert len(workers) == 2, workers
         assert _fresh_get("127.0.0.1", port)[0] == 200
         yield serve, port, workers
@@ -453,9 +415,9 @@ def _serving_two_workers(run_dir, **popen):
 def test_sigterm_stops_supervisor_and_workers(run_dir):
     with _serving_two_workers(run_dir) as (serve, port, workers):
         serve.send_signal(signal.SIGTERM)
-        assert serve.wait(timeout=_LIFECYCLE_BOUND_S) == 0
-    assert _eventually(lambda: all(_exited(pid) for pid in workers))
-    assert _eventually(lambda: _port_free(port))
+        assert serve.wait(timeout=LIFECYCLE_BOUND_S) == 0
+    assert eventually(lambda: all(exited(pid) for pid in workers))
+    assert eventually(lambda: _port_free(port))
 
 
 @needs_proc
@@ -465,10 +427,10 @@ def test_ctrl_c_stops_workers_without_tracebacks(run_dir):
         run_dir, stderr=subprocess.PIPE, start_new_session=True
     ) as (serve, port, workers):
         os.killpg(serve.pid, signal.SIGINT)
-        assert serve.wait(timeout=_LIFECYCLE_BOUND_S) == 0
-        assert _eventually(lambda: all(_exited(pid) for pid in workers))
+        assert serve.wait(timeout=LIFECYCLE_BOUND_S) == 0
+        assert eventually(lambda: all(exited(pid) for pid in workers))
         assert "Traceback" not in serve.stderr.read()
-    assert _eventually(lambda: _port_free(port))
+    assert eventually(lambda: _port_free(port))
 
 
 _SUPERVISOR = """
@@ -497,8 +459,8 @@ def test_workers_exit_when_supervisor_is_killed(run_dir):
         supervisor.kill()  # SIGKILL: no handler runs, stop() never does
         supervisor.wait()
         supervisor.stdout.close()
-    assert _eventually(lambda: all(_exited(pid) for pid in workers))
-    assert _eventually(lambda: _port_free(port))
+    assert eventually(lambda: all(exited(pid) for pid in workers))
+    assert eventually(lambda: _port_free(port))
 
 
 @pytest.mark.parametrize(
@@ -512,7 +474,7 @@ def test_dead_worker_is_routed_around(index, workers, expected):
     try:
         victim = server.worker_pids()[0]  # worker 0
         os.kill(victim, signal.SIGKILL)
-        assert _eventually(lambda: victim not in server.worker_pids())
+        assert eventually(lambda: victim not in server.worker_pids())
         answers = [_fresh_get(host, port) for __ in range(8)]
     finally:
         server.stop()
