@@ -543,7 +543,7 @@ def _top_down(
 ) -> np.ndarray:
     """The next frontier: unvisited neighbours of the frontier, once each.
 
-    ``slot`` is scratch space of one entry per node: the last occurrence
+    ``slot`` is a work array of one entry per node: the last occurrence
     of each reached node keeps its position, so no sort is needed.
     """
     reached = adj[_gather(ptr, frontier, frontier_degrees)[0]]

@@ -19,8 +19,9 @@ On top of the scheduling sits the resilience contract
   the pool down and rebuilds it; when the pool cannot be rebuilt (or
   keeps dying) the executor *degrades* to in-process serial execution
   rather than losing the run;
-- no worker outlives its driver: each watches the driver's process
-  sentinel and exits once the driver is gone, by any signal;
+- no worker outlives the process that started its pool: each watches
+  its parent's sentinel and exits once the parent is gone, by any
+  signal;
 - a task that exhausts its attempts fails *alone*: only tasks whose
   required artifacts it would have provided are skipped, every
   independent DAG branch still completes, and the failures/skips are
@@ -244,28 +245,28 @@ def _run_attempt(task: ExperimentTask, attempt: int, in_worker: bool) -> TaskOut
 
 
 def _worker_pool(max_workers: int) -> ProcessPoolExecutor:
-    """The default pool: its workers exit when the driver dies."""
+    """The default pool: its workers exit when this process dies."""
     return ProcessPoolExecutor(
-        max_workers=max_workers, initializer=_exit_with_driver
+        max_workers=max_workers, initializer=_exit_with_parent
     )
 
 
-def _exit_with_driver() -> None:
-    """Pool-worker initializer: exit as soon as the driver process is gone.
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the parent process is gone.
 
     A watcher thread waits on the parent's sentinel, which becomes ready
-    when the driver exits or is killed by any signal, so a worker never
-    outlives its run.  SIGTERM gets its default action back: the driver
+    when the parent exits or is killed by any signal, so a worker never
+    outlives its run.  SIGTERM gets its default action back: the parent
     may have routed it to KeyboardInterrupt before forking this worker,
     and the pool's own teardown terminates workers with it.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    driver = multiprocessing.parent_process()
-    if driver is not None:
+    parent = multiprocessing.parent_process()
+    if parent is not None:
         threading.Thread(
             target=_exit_when_ready,
-            args=(driver.sentinel,),
-            name="repro-driver-watch",
+            args=(parent.sentinel,),
+            name="repro-parent-watch",
             daemon=True,
         ).start()
 

@@ -1,10 +1,10 @@
 """``repro all`` leaves no pool worker behind, however it is stopped.
 
-The run's pool workers (and the store compile's) watch their driver's
-sentinel and exit once it is gone; SIGTERM on the driver takes Ctrl-C's
-path and exits 130.  Each case starts a cold ``--workers 2`` run, waits
-until both workers exist, signals the driver and polls until every
-worker pid is gone.
+The run's pool workers (and the store compile's) watch their parent's
+sentinel and exit once it is gone; SIGTERM on ``repro all`` takes
+Ctrl-C's path and exits 130.  Each case starts a cold ``--workers 2``
+run, waits until both workers exist, signals the ``repro all`` process
+and polls until every worker pid is gone.
 """
 
 from __future__ import annotations
