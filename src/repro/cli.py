@@ -14,8 +14,9 @@ be regenerated without writing Python:
 - ``python -m repro journal-gc`` (reap old run journals)
 - ``python -m repro bench --history`` (cross-PR benchmark trajectory)
 
-``--csv DIR`` writes each figure's series as long-format CSV next to
-the ASCII rendering.
+``table1``, ``table2`` and ``figure N`` print the text ``repro all``
+writes for that table or figure, and ``--csv DIR`` writes the same CSV
+files; both render through :data:`repro.pipeline.experiments.ARTIFACTS`.
 """
 
 from __future__ import annotations
@@ -61,23 +62,39 @@ def _maybe_csv(args: argparse.Namespace, name: str, series: dict) -> None:
     from repro.report.figures import write_csv
 
     path = write_csv(args.csv / f"{name}.csv", series)
-    print(f"(series written to {path})")
+    print(f"(series written to {path})", file=sys.stderr)
+
+
+def _artifact_cache(args: argparse.Namespace):
+    """The artifact cache ``--cache-dir`` and ``--cache-budget-mb`` name."""
+    from repro.perf import ArtifactCache
+
+    budget_mb = args.cache_budget_mb
+    return ArtifactCache(
+        directory=args.cache_dir,
+        max_bytes=None if budget_mb is None else budget_mb * 1024 * 1024,
+    )
 
 
 # -- command handlers --------------------------------------------------------
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.pipeline.experiments import run_table1
+def _cmd_artifact(args: argparse.Namespace) -> int:
+    """``table1``/``table2``/``figure N``: print the files ``repro all``
+    writes for that task, one empty line apart; ``--csv`` writes its CSVs."""
+    from repro.pipeline.experiments import ARTIFACTS
 
-    print(run_table1())
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.pipeline.experiments import format_table2, run_table2
-
-    print(format_table2(run_table2(_config_from(args))))
+    name = f"figure{args.number}" if args.command == "figure" else args.command
+    if name not in ARTIFACTS:
+        print(f"unknown figure {args.number}; the paper has figures 1-9",
+              file=sys.stderr)
+        return 2
+    texts = []
+    for __, text, csvs in ARTIFACTS[name].render(_config_from(args)):
+        texts.append(text)
+        for stem, series in csvs.items():
+            _maybe_csv(args, stem, series)
+    print("\n\n".join(texts))
     return 0
 
 
@@ -92,100 +109,6 @@ def _cmd_spread(args: argparse.Namespace) -> int:
         f"\nsites needed for {args.target:.0%} coverage at k={args.k}: {needed}"
     )
     _maybe_csv(args, f"spread_{args.domain}_{args.attribute}", result.series())
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro import pipeline
-    from repro.report.figures import ascii_plot
-
-    config = _config_from(args)
-    number = args.number
-    if number == 1 or number == 2:
-        runner = pipeline.run_figure1 if number == 1 else pipeline.run_figure2
-        for domain, result in runner(config).items():
-            print(result.render())
-            print()
-            _maybe_csv(args, f"figure{number}_{domain}", result.series())
-    elif number == 3:
-        result = pipeline.run_figure3(config)
-        print(result.render())
-        _maybe_csv(args, "figure3", result.series())
-    elif number == 4:
-        result = pipeline.run_figure4(config)
-        print(result.render())
-        _maybe_csv(args, "figure4a", result.spread.series())
-        _maybe_csv(args, "figure4b", result.aggregate_series())
-    elif number == 5:
-        result = pipeline.run_figure5(config)
-        print(result.render())
-        print(f"\nmax greedy improvement: {result.max_improvement():.3f}")
-        _maybe_csv(args, "figure5", result.series())
-    elif number == 6:
-        curves = pipeline.run_figure6(config)
-        for source in ("search", "browse"):
-            series = {
-                site: (c.inventory, c.cumulative_share)
-                for site, c in curves[source].items()
-            }
-            print(
-                ascii_plot(
-                    series,
-                    title=f"Figure 6: demand CDF ({source})",
-                    x_label="normalized inventory",
-                    y_label="cumulative demand",
-                )
-            )
-            print()
-            _maybe_csv(args, f"figure6_cdf_{source}", series)
-    elif number == 7:
-        panels = pipeline.run_figure7(config)
-        for site, sources in panels.items():
-            print(
-                ascii_plot(
-                    sources,
-                    title=f"Figure 7: demand vs #reviews ({site})",
-                    x_label="# of reviews",
-                    y_label="avg normalized demand",
-                )
-            )
-            print()
-            _maybe_csv(args, f"figure7_{site}", sources)
-    elif number == 8:
-        panels = pipeline.run_figure8(config)
-        for site, sources in panels.items():
-            series = {
-                source: (curve.review_counts, curve.relative_value_add)
-                for source, curve in sources.items()
-            }
-            print(
-                ascii_plot(
-                    series,
-                    log_x=True,
-                    title=f"Figure 8: VA(n)/VA(0) ({site})",
-                    x_label="# of reviews",
-                    y_label="relative value-add",
-                )
-            )
-            print()
-            _maybe_csv(args, f"figure8_{site}", series)
-    elif number == 9:
-        panels = pipeline.run_figure9(config)
-        for attribute, by_domain in panels.items():
-            print(
-                ascii_plot(
-                    by_domain,
-                    title=f"Figure 9: robustness ({attribute})",
-                    x_label="top-k sites removed",
-                    y_label="fraction in largest component",
-                )
-            )
-            print()
-            _maybe_csv(args, f"figure9_{attribute}", by_domain)
-    else:
-        print(f"unknown figure {number}; the paper has figures 1-9",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -282,6 +205,7 @@ def _run_all(args: argparse.Namespace) -> int:
         )
         return 2
 
+    cache = _artifact_cache(args)
     resume = args.resume is not None
     run_id = args.run_id
     if resume and args.resume:  # `--resume RUN_ID` names the journal directly
@@ -289,12 +213,8 @@ def _run_all(args: argparse.Namespace) -> int:
     settings = ExecutionSettings(
         workers=args.workers,
         use_cache=not args.no_cache,
-        cache_dir=None if args.cache_dir is None else str(args.cache_dir),
-        cache_budget_bytes=(
-            None
-            if args.cache_budget_mb is None
-            else args.cache_budget_mb * 1024 * 1024
-        ),
+        cache_dir=str(cache.directory),
+        cache_budget_bytes=cache.max_bytes,
         retries=args.retries,
         task_timeout=args.task_timeout,
         failure_mode="raise" if args.fail_fast else "continue",
@@ -322,19 +242,10 @@ def _run_all(args: argparse.Namespace) -> int:
         )
     print(f"total: {report.total_seconds:.1f}s with {report.workers} worker(s)")
     if report.ok and args.compile_store:
-        from repro.perf import ArtifactCache, configure_cache
+        from repro.perf import configure_cache
         from repro.store import build_store, load_manifest
 
-        configure_cache(
-            ArtifactCache(
-                directory=args.cache_dir,
-                max_bytes=(
-                    None
-                    if args.cache_budget_mb is None
-                    else args.cache_budget_mb * 1024 * 1024
-                ),
-            )
-        )
+        configure_cache(cache)
         # The run's (CPU-clamped) worker count; one timing per pair.
         store = build_store(
             load_manifest(args.output),
@@ -400,21 +311,12 @@ def _resolve_backend(args: argparse.Namespace) -> str:
 
 def _build_serve_index(args: argparse.Namespace, manifest_path=None):
     """Load a run manifest and build the serving index (cache-aware)."""
-    from repro.perf import ArtifactCache, configure_cache
+    from repro.perf import configure_cache
     from repro.serve import build_index, load_manifest
 
     backend = _resolve_backend(args)
     if not args.no_cache:
-        configure_cache(
-            ArtifactCache(
-                directory=args.cache_dir,
-                max_bytes=(
-                    None
-                    if args.cache_budget_mb is None
-                    else args.cache_budget_mb * 1024 * 1024
-                ),
-            )
-        )
+        configure_cache(_artifact_cache(args))
     if manifest_path is None:
         manifest_path = args.artifacts
     manifest = load_manifest(manifest_path)
@@ -870,16 +772,16 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     table1 = commands.add_parser("table1", help="domain inventory (Table 1)")
-    table1.set_defaults(handler=_cmd_table1)
+    table1.set_defaults(handler=_cmd_artifact)
     _add_common(table1)
 
     table2 = commands.add_parser("table2", help="graph metrics (Table 2)")
-    table2.set_defaults(handler=_cmd_table2)
+    table2.set_defaults(handler=_cmd_artifact)
     _add_common(table2)
 
     figure = commands.add_parser("figure", help="reproduce figure 1-9")
     figure.add_argument("number", type=int, help="figure number (1-9)")
-    figure.set_defaults(handler=_cmd_figure)
+    figure.set_defaults(handler=_cmd_artifact)
     _add_common(figure)
 
     spread = commands.add_parser("spread", help="k-coverage for one panel")

@@ -16,12 +16,18 @@ The mapping (see DESIGN.md for the full index):
 - Figure 9 → :func:`run_figure9` (robustness after removing top-k)
 
 All runners are deterministic in the :class:`ExperimentConfig` seed.
+
+:data:`ARTIFACTS` renders each runner's result into the files it
+publishes, one entry per ``repro all`` task; ``repro all`` and the
+single-artifact commands (``repro table1|table2|figure N``) both render
+through it, so they print and write the same bytes.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -57,6 +63,8 @@ from repro.webgen.corpus import CorpusBuilder
 from repro.webgen.profiles import get_profile
 
 __all__ = [
+    "ARTIFACTS",
+    "Artifact",
     "ReviewSpreadResult",
     "SetCoverResult",
     "SpreadResult",
@@ -568,6 +576,167 @@ def run_figure9(
         "books", ATTRIBUTE_ISBN, config, max_removed
     )
     return panels
+
+
+# ---------------------------------------------------------------------------
+# The artifact table: what each `repro all` task writes
+# ---------------------------------------------------------------------------
+
+#: Labelled (x, y) series, as :func:`repro.report.figures.write_csv` takes.
+Series = dict[str, tuple[np.ndarray, np.ndarray]]
+#: One ``.txt`` file of a task: its name, its text, and the CSV series
+#: written beside it, keyed by CSV stem.
+Rendered = tuple[str, str, dict[str, Series]]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One table or figure: how it renders and what shared data it reads.
+
+    ``render`` returns every file its task writes, in order.
+    ``corpora`` and ``traffic`` name the spread corpora and traffic
+    datasets it reads, so a cached run can generate each of them once,
+    ahead of every reader.
+    """
+
+    render: Callable[[ExperimentConfig], list[Rendered]]
+    corpora: tuple[tuple[str, str], ...] = ()
+    traffic: tuple[str, ...] = ()
+
+
+def _plotted(name: str, series: Series, **plot) -> Rendered:
+    """A file whose text is an ASCII plot of the series its CSV holds."""
+    return name, ascii_plot(series, **plot), {name: series}
+
+
+def _render_table1(config: ExperimentConfig) -> list[Rendered]:
+    return [("table1", run_table1(), {})]
+
+
+def _spread_panels(number: int, results: dict[str, SpreadResult]) -> list[Rendered]:
+    """Figures 1 and 2: one k-coverage panel per local-business domain."""
+    panels = []
+    for domain, result in results.items():
+        name = f"figure{number}_{domain}"
+        panels.append((name, result.render(), {name: result.series()}))
+    return panels
+
+
+def _render_figure1(config: ExperimentConfig) -> list[Rendered]:
+    return _spread_panels(1, run_figure1(config))
+
+
+def _render_figure2(config: ExperimentConfig) -> list[Rendered]:
+    return _spread_panels(2, run_figure2(config))
+
+
+def _render_figure3(config: ExperimentConfig) -> list[Rendered]:
+    figure3 = run_figure3(config)
+    return [("figure3", figure3.render(), {"figure3": figure3.series()})]
+
+
+def _render_figure4(config: ExperimentConfig) -> list[Rendered]:
+    figure4 = run_figure4(config)
+    csvs = {
+        "figure4a": figure4.spread.series(),
+        "figure4b": figure4.aggregate_series(),
+    }
+    return [("figure4", figure4.render(), csvs)]
+
+
+def _render_figure5(config: ExperimentConfig) -> list[Rendered]:
+    figure5 = run_figure5(config)
+    text = (
+        figure5.render()
+        + f"\n\nmax greedy improvement: {figure5.max_improvement():.3f}"
+    )
+    return [("figure5", text, {"figure5": figure5.series()})]
+
+
+def _render_figure6(config: ExperimentConfig) -> list[Rendered]:
+    return [
+        _plotted(
+            f"figure6_{source}",
+            {site: (c.inventory, c.cumulative_share) for site, c in curves.items()},
+            title=f"Figure 6 ({source}): cumulative demand",
+            x_label="normalized inventory",
+            y_label="cumulative demand",
+        )
+        for source, curves in run_figure6(config).items()
+    ]
+
+
+def _render_figure7(config: ExperimentConfig) -> list[Rendered]:
+    return [
+        _plotted(
+            f"figure7_{site}",
+            sources,
+            title=f"Figure 7 ({site}): demand vs #reviews",
+            x_label="# of reviews",
+            y_label="avg normalized demand",
+        )
+        for site, sources in run_figure7(config).items()
+    ]
+
+
+def _render_figure8(config: ExperimentConfig) -> list[Rendered]:
+    return [
+        _plotted(
+            f"figure8_{site}",
+            {
+                source: (curve.review_counts, curve.relative_value_add)
+                for source, curve in sources.items()
+            },
+            log_x=True,
+            title=f"Figure 8 ({site}): VA(n)/VA(0)",
+            x_label="# of reviews",
+            y_label="relative value-add",
+        )
+        for site, sources in run_figure8(config).items()
+    ]
+
+
+def _render_table2(config: ExperimentConfig) -> list[Rendered]:
+    return [("table2", format_table2(run_table2(config)), {})]
+
+
+def _render_figure9(config: ExperimentConfig) -> list[Rendered]:
+    return [
+        _plotted(
+            f"figure9_{attribute}",
+            by_domain,
+            title=f"Figure 9 ({attribute}): robustness to top-k removal",
+            x_label="top-k sites removed",
+            y_label="fraction in largest component",
+        )
+        for attribute, by_domain in run_figure9(config).items()
+    ]
+
+
+_PHONE_PAIRS = tuple((domain, ATTRIBUTE_PHONE) for domain in LOCAL_BUSINESS_DOMAINS)
+_HOMEPAGE_PAIRS = tuple(
+    (domain, ATTRIBUTE_HOMEPAGE) for domain in LOCAL_BUSINESS_DOMAINS
+)
+
+#: Every table and figure, keyed by its ``repro all`` task name, in the
+#: run's canonical order.
+ARTIFACTS: dict[str, Artifact] = {
+    "table1": Artifact(_render_table1),
+    "figure1": Artifact(_render_figure1, corpora=_PHONE_PAIRS),
+    "figure2": Artifact(_render_figure2, corpora=_HOMEPAGE_PAIRS),
+    "figure3": Artifact(_render_figure3, corpora=(("books", ATTRIBUTE_ISBN),)),
+    "figure4": Artifact(
+        _render_figure4, corpora=(("restaurants", ATTRIBUTE_REVIEWS),)
+    ),
+    "figure5": Artifact(
+        _render_figure5, corpora=(("restaurants", ATTRIBUTE_HOMEPAGE),)
+    ),
+    "figure6": Artifact(_render_figure6, traffic=TRAFFIC_SITES),
+    "figure7": Artifact(_render_figure7, traffic=TRAFFIC_SITES),
+    "figure8": Artifact(_render_figure8, traffic=TRAFFIC_SITES),
+    "table2": Artifact(_render_table2, corpora=TABLE2_ROWS),
+    "figure9": Artifact(_render_figure9, corpora=TABLE2_ROWS),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@
 rendering and CSV series of every table and figure: the deliverable a
 downstream user runs once to see the whole reproduction.
 
-The run is decomposed into schedulable tasks (one per table/figure,
-plus cache-prewarm tasks for the shared corpora and traffic datasets)
-and handed to :mod:`repro.perf`'s staged executor.  With the default
-:class:`~repro.pipeline.config.ExecutionSettings` everything runs
-inline and uncached, exactly as the pre-perf pipeline did; with a cache
-and/or workers enabled, prewarm tasks generate each shared artifact
-once and the figure tasks read it back.  Artifact bytes are identical
-across every combination of settings.
+The run is decomposed into schedulable tasks (one per entry of the
+artifact table :data:`repro.pipeline.experiments.ARTIFACTS`, plus
+cache-prewarm tasks for the shared corpora and traffic datasets those
+entries read) and handed to :mod:`repro.perf`'s staged executor.  With
+the default :class:`~repro.pipeline.config.ExecutionSettings`
+everything runs inline and uncached, exactly as the pre-perf pipeline
+did; with a cache and/or workers enabled, prewarm tasks generate each
+shared artifact once and the figure tasks read it back.  Artifact bytes
+are identical across every combination of settings.
 
 The run is fault tolerant (see ``docs/robustness.md``): tasks retry
 under the run's :class:`~repro.resilience.RetryPolicy`; with
@@ -29,13 +30,6 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.entities.domains import (
-    ATTRIBUTE_HOMEPAGE,
-    ATTRIBUTE_ISBN,
-    ATTRIBUTE_PHONE,
-    ATTRIBUTE_REVIEWS,
-    LOCAL_BUSINESS_DOMAINS,
-)
 from repro.perf import (
     ArtifactCache,
     ExperimentTask,
@@ -54,7 +48,7 @@ from repro.pipeline.config import (
     ExecutionSettings,
     ExperimentConfig,
 )
-from repro.report.figures import ascii_plot, write_csv
+from repro.report.figures import write_csv
 from repro.resilience import (
     JournalEntry,
     RetryPolicy,
@@ -63,12 +57,7 @@ from repro.resilience import (
     resolve_journal_dir,
 )
 
-# MANIFEST_FORMAT / MANIFEST_NAME now live in repro.pipeline.config so
-# the serve/store tiers can import them without the experiment stack;
-# they stay re-exported here for compatibility.
 __all__ = [
-    "MANIFEST_FORMAT",
-    "MANIFEST_NAME",
     "manifest_payload",
     "run_everything",
     "run_everything_with_report",
@@ -114,10 +103,6 @@ def write_manifest(
     return atomic_write_text(Path(directory) / MANIFEST_NAME, text)
 
 
-def _write(directory: Path, name: str, text: str) -> None:
-    (directory / f"{name}.txt").write_text(text + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Task bodies (module-level so worker processes can import them)
 # ---------------------------------------------------------------------------
@@ -156,157 +141,16 @@ def _prewarm_traffic(payload: dict[str, Any]) -> list[str]:
     return []
 
 
-def _task_table1(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    _write(Path(payload["out"]), "table1", experiments.run_table1())
-    return ["table1"]
-
-
-def _task_spread_figure(payload: dict[str, Any]) -> list[str]:
-    """Figures 1 and 2: one k-coverage panel per local-business domain."""
+def _task_render(payload: dict[str, Any]) -> list[str]:
+    """Render one table or figure: its ``.txt`` files and their CSVs."""
     _apply_cache_settings(payload)
     directory = Path(payload["out"])
-    number = payload["number"]
-    runner = experiments.run_figure1 if number == 1 else experiments.run_figure2
+    artifact = experiments.ARTIFACTS[payload["artifact"]]
     names = []
-    for domain, result in runner(payload["config"]).items():
-        name = f"figure{number}_{domain}"
-        _write(directory, name, result.render())
-        write_csv(directory / f"{name}.csv", result.series())
-        names.append(name)
-    return names
-
-
-def _task_figure3(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    figure3 = experiments.run_figure3(payload["config"])
-    _write(directory, "figure3", figure3.render())
-    write_csv(directory / "figure3.csv", figure3.series())
-    return ["figure3"]
-
-
-def _task_figure4(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    figure4 = experiments.run_figure4(payload["config"])
-    _write(directory, "figure4", figure4.render())
-    write_csv(directory / "figure4a.csv", figure4.spread.series())
-    write_csv(directory / "figure4b.csv", figure4.aggregate_series())
-    return ["figure4"]
-
-
-def _task_figure5(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    figure5 = experiments.run_figure5(payload["config"])
-    _write(
-        directory,
-        "figure5",
-        figure5.render()
-        + f"\n\nmax greedy improvement: {figure5.max_improvement():.3f}",
-    )
-    write_csv(directory / "figure5.csv", figure5.series())
-    return ["figure5"]
-
-
-def _task_figure6(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    figure6 = experiments.run_figure6(payload["config"])
-    names = []
-    for source in ("search", "browse"):
-        cdf = {
-            site: (c.inventory, c.cumulative_share)
-            for site, c in figure6[source].items()
-        }
-        name = f"figure6_{source}"
-        _write(
-            directory,
-            name,
-            ascii_plot(
-                cdf,
-                title=f"Figure 6 ({source}): cumulative demand",
-                x_label="normalized inventory",
-                y_label="cumulative demand",
-            ),
-        )
-        write_csv(directory / f"{name}.csv", cdf)
-        names.append(name)
-    return names
-
-
-def _task_figure7(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    names = []
-    for site, sources in experiments.run_figure7(payload["config"]).items():
-        name = f"figure7_{site}"
-        _write(
-            directory,
-            name,
-            ascii_plot(
-                sources,
-                title=f"Figure 7 ({site}): demand vs #reviews",
-                x_label="# of reviews",
-                y_label="avg normalized demand",
-            ),
-        )
-        write_csv(directory / f"{name}.csv", sources)
-        names.append(name)
-    return names
-
-
-def _task_figure8(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    names = []
-    for site, sources in experiments.run_figure8(payload["config"]).items():
-        series = {
-            source: (curve.review_counts, curve.relative_value_add)
-            for source, curve in sources.items()
-        }
-        name = f"figure8_{site}"
-        _write(
-            directory,
-            name,
-            ascii_plot(
-                series,
-                log_x=True,
-                title=f"Figure 8 ({site}): VA(n)/VA(0)",
-                x_label="# of reviews",
-                y_label="relative value-add",
-            ),
-        )
-        write_csv(directory / f"{name}.csv", series)
-        names.append(name)
-    return names
-
-
-def _task_table2(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    table2 = experiments.run_table2(payload["config"])
-    _write(Path(payload["out"]), "table2", experiments.format_table2(table2))
-    return ["table2"]
-
-
-def _task_figure9(payload: dict[str, Any]) -> list[str]:
-    _apply_cache_settings(payload)
-    directory = Path(payload["out"])
-    names = []
-    for attribute, by_domain in experiments.run_figure9(payload["config"]).items():
-        name = f"figure9_{attribute}"
-        _write(
-            directory,
-            name,
-            ascii_plot(
-                by_domain,
-                title=f"Figure 9 ({attribute}): robustness to top-k removal",
-                x_label="top-k sites removed",
-                y_label="fraction in largest component",
-            ),
-        )
-        write_csv(directory / f"{name}.csv", by_domain)
+    for name, text, csvs in artifact.render(payload["config"]):
+        (directory / f"{name}.txt").write_text(text + "\n")
+        for stem, series in csvs.items():
+            write_csv(directory / f"{stem}.csv", series)
         names.append(name)
     return names
 
@@ -318,10 +162,13 @@ def _task_figure9(payload: dict[str, Any]) -> list[str]:
 
 def _spread_pairs() -> list[tuple[str, str]]:
     """Every distinct (domain, attribute) corpus the full run touches."""
-    pairs = [(domain, ATTRIBUTE_PHONE) for domain in LOCAL_BUSINESS_DOMAINS]
-    pairs += [(domain, ATTRIBUTE_HOMEPAGE) for domain in LOCAL_BUSINESS_DOMAINS]
-    pairs += [("books", ATTRIBUTE_ISBN), ("restaurants", ATTRIBUTE_REVIEWS)]
-    return pairs
+    return list(
+        dict.fromkeys(
+            pair
+            for artifact in experiments.ARTIFACTS.values()
+            for pair in artifact.corpora
+        )
+    )
 
 
 def _build_tasks(
@@ -346,6 +193,9 @@ def _build_tasks(
     def incidence_labels(*pairs: tuple[str, str]) -> tuple[str, ...]:
         return tuple(f"incidence:{d}:{a}" for d, a in pairs)
 
+    def traffic_labels(*sites: str) -> tuple[str, ...]:
+        return tuple(f"traffic:{site}" for site in sites)
+
     tasks: list[ExperimentTask] = []
     if prewarm:
         for domain, attribute in _spread_pairs():
@@ -363,68 +213,19 @@ def _build_tasks(
                     name=f"warm:traffic:{site}",
                     fn=_prewarm_traffic,
                     payload=payload(site=site),
-                    provides=(f"traffic:{site}",),
+                    provides=traffic_labels(site),
                 )
             )
-
-    phone = [(domain, ATTRIBUTE_PHONE) for domain in LOCAL_BUSINESS_DOMAINS]
-    homepage = [(domain, ATTRIBUTE_HOMEPAGE) for domain in LOCAL_BUSINESS_DOMAINS]
-    table2_pairs = phone + homepage + [("books", ATTRIBUTE_ISBN)]
-    traffic = tuple(f"traffic:{site}" for site in experiments.TRAFFIC_SITES)
-    tasks += [
-        ExperimentTask(name="table1", fn=_task_table1, payload=payload()),
-        ExperimentTask(
-            name="figure1",
-            fn=_task_spread_figure,
-            payload=payload(number=1),
-            requires=incidence_labels(*phone),
-        ),
-        ExperimentTask(
-            name="figure2",
-            fn=_task_spread_figure,
-            payload=payload(number=2),
-            requires=incidence_labels(*homepage),
-        ),
-        ExperimentTask(
-            name="figure3",
-            fn=_task_figure3,
-            payload=payload(),
-            requires=incidence_labels(("books", ATTRIBUTE_ISBN)),
-        ),
-        ExperimentTask(
-            name="figure4",
-            fn=_task_figure4,
-            payload=payload(),
-            requires=incidence_labels(("restaurants", ATTRIBUTE_REVIEWS)),
-        ),
-        ExperimentTask(
-            name="figure5",
-            fn=_task_figure5,
-            payload=payload(),
-            requires=incidence_labels(("restaurants", ATTRIBUTE_HOMEPAGE)),
-        ),
-        ExperimentTask(
-            name="figure6", fn=_task_figure6, payload=payload(), requires=traffic
-        ),
-        ExperimentTask(
-            name="figure7", fn=_task_figure7, payload=payload(), requires=traffic
-        ),
-        ExperimentTask(
-            name="figure8", fn=_task_figure8, payload=payload(), requires=traffic
-        ),
-        ExperimentTask(
-            name="table2",
-            fn=_task_table2,
-            payload=payload(),
-            requires=incidence_labels(*table2_pairs),
-        ),
-        ExperimentTask(
-            name="figure9",
-            fn=_task_figure9,
-            payload=payload(),
-            requires=incidence_labels(*table2_pairs),
-        ),
-    ]
+    for name, artifact in experiments.ARTIFACTS.items():
+        tasks.append(
+            ExperimentTask(
+                name=name,
+                fn=_task_render,
+                payload=payload(artifact=name),
+                requires=incidence_labels(*artifact.corpora)
+                + traffic_labels(*artifact.traffic),
+            )
+        )
     return tasks
 
 

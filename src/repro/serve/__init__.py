@@ -47,7 +47,7 @@ concurrently without locks.
 
 from repro.serve.batcher import MicroBatcher
 from repro.serve.fasthttp import FastHTTPServer
-from repro.serve.indices import build_index, load_manifest, manifest_identity
+from repro.serve.indices import build_index
 from repro.serve.loadgen import (
     LoadPlan,
     LoadResult,
@@ -73,6 +73,7 @@ from repro.serve.server import (
     ServeSettings,
 )
 from repro.serve.sharding import ShardPlan, ShardedServer
+from repro.store.manifest import load_manifest
 
 __all__ = [
     "FastHTTPServer",
@@ -96,7 +97,6 @@ __all__ = [
     "build_streams",
     "find_knee",
     "load_manifest",
-    "manifest_identity",
     "open_rate_summary",
     "run_load",
     "run_open_load",

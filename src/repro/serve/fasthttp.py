@@ -51,13 +51,16 @@ _REASONS = {
 
 _TERMINATOR = b"\r\n\r\n"
 
+#: Listen backlog of every serve listener.
+_BACKLOG = 512
 
-def listen(host: str, port: int, backlog: int = 512) -> socket.socket:
+
+def listen(host: str, port: int) -> socket.socket:
     """A TCP listener on ``host:port``."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind((host, port))
-    sock.listen(backlog)
+    sock.listen(_BACKLOG)
     return sock
 
 
@@ -68,7 +71,6 @@ class FastHTTPServer:
         self,
         app: ServeApp | RunRouter,
         sock: socket.socket | None = None,
-        backlog: int = 512,
         bind: bool = True,
     ) -> None:
         """Wrap ``app``; bind from its settings unless ``sock`` is given.
@@ -78,13 +80,12 @@ class FastHTTPServer:
             sock: An already-bound, already-listening socket to accept
                 on (the sharding layer passes its listener here).
                 ``None`` binds ``app.settings.host:port``.
-            backlog: Listen backlog when this class does the binding.
             bind: ``False`` creates a socketless server fed exclusively
                 through :meth:`process_connection` (forked workers).
         """
         self.app = app
         if sock is None and bind:
-            sock = listen(app.settings.host, app.settings.port, backlog)
+            sock = listen(app.settings.host, app.settings.port)
         self.socket = sock
         self.server_address = (
             sock.getsockname() if sock is not None else (app.settings.host, 0)

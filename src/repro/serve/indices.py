@@ -23,9 +23,8 @@ Read-optimized layout per (domain, attribute) pair, compiled once by
 
 ``backend`` picks the residency: ``ram`` loads those blobs whole and
 ``mmap`` maps them (``auto`` picks by manifest size).  Both tiers
-answer with byte-identical responses.  The manifest machinery and the
-shared :class:`DemandTable` live in ``repro.store`` (below this layer)
-and are re-exported here for compatibility.
+answer with byte-identical responses.  The manifest machinery lives in
+:mod:`repro.store.manifest`, below this layer.
 
 Everything is built once; queries never mutate, so the HTTP layer
 reads without locks.
@@ -34,17 +33,10 @@ reads without locks.
 from __future__ import annotations
 
 from repro.store.backend import QueryIndex, choose_backend, open_backend
-from repro.store.demand import DemandTable
-from repro.store.manifest import Manifest, load_manifest, manifest_identity
+from repro.store.manifest import Manifest
 from repro.store.mmapcsr import ArrayPair
 
-__all__ = [
-    "DemandTable",
-    "Manifest",
-    "build_index",
-    "load_manifest",
-    "manifest_identity",
-]
+__all__ = ["build_index"]
 
 # The benchmark's per-layer tracer (perfbench/layers.py) imports the ram
 # tier's pair class by this name and patches its methods; the ram tier

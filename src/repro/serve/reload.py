@@ -6,7 +6,7 @@ incremental batch, a corrected config).  :class:`ManifestWatcher` polls
 the manifest with two gates:
 
 1. **mtime** — cheap; unchanged mtime means no further work at all.
-2. **config fingerprint** — :func:`repro.serve.indices.manifest_identity`
+2. **config fingerprint** — :func:`repro.store.manifest_identity`
    of the re-parsed manifest.  A rewrite that produces the same config
    (``touch``, a byte-identical re-run) is recorded and skipped; only a
    genuinely different index identity triggers a rebuild.
@@ -32,8 +32,9 @@ import threading
 from pathlib import Path
 
 from repro.pipeline.config import MANIFEST_NAME
-from repro.serve.indices import build_index, load_manifest, manifest_identity
+from repro.serve.indices import build_index
 from repro.serve.server import ServeApp
+from repro.store.manifest import load_manifest, manifest_identity
 
 __all__ = ["ManifestWatcher"]
 

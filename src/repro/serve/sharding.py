@@ -49,10 +49,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.serve.fasthttp import FastHTTPServer, listen
-from repro.serve.indices import build_index, load_manifest
+from repro.serve.indices import build_index
 from repro.serve.reload import ManifestWatcher
 from repro.serve.server import RunRouter, ServeApp, ServeSettings
 from repro.store.backend import QueryIndex
+from repro.store.manifest import load_manifest
 
 __all__ = ["ShardPlan", "ShardedServer"]
 
@@ -83,20 +84,16 @@ class ShardPlan:
             forked behind the supervisor's connection router.
         reload_poll_seconds: Manifest poll interval for hot index
             reload; 0 disables the watcher.
-        backlog: Listen backlog.
     """
 
     workers: int = 2
     reload_poll_seconds: float = 0.0
-    backlog: int = 512
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.reload_poll_seconds < 0:
             raise ValueError("reload_poll_seconds must be >= 0")
-        if self.backlog < 1:
-            raise ValueError("backlog must be >= 1")
 
 
 class ShardedServer:
@@ -120,7 +117,7 @@ class ShardedServer:
             manifest_path: The run directory or ``manifest.json``;
                 required when ``index`` is None or hot reload is on.
             settings: Per-worker :class:`ServeSettings` (host/port/...).
-            plan: Shard count, reload cadence, backlog.
+            plan: Shard count and reload cadence.
             builder: ``manifest -> index`` callable for building and
                 hot-reloading indices; defaults to
                 :func:`~repro.serve.indices.build_index`.  The CLI
@@ -201,7 +198,7 @@ class ShardedServer:
         """
         host, port = self.settings.host, self.settings.port
         if self.plan.workers == 1:
-            sock = listen(host, port, self.plan.backlog)
+            sock = listen(host, port)
             app, self._watchers = self._worker_app(0)
             self._server = FastHTTPServer(app, sock)
             self._server_thread = threading.Thread(
@@ -218,7 +215,7 @@ class ShardedServer:
                 "which this platform lacks; serve with one worker"
             )
         ctx = multiprocessing.get_context("fork")
-        self._listener = listen(host, port, self.plan.backlog)
+        self._listener = listen(host, port)
         self.server_address = self._listener.getsockname()[:2]
 
         ready_events = []

@@ -3,11 +3,10 @@
 A manifest (``manifest.json``, written by
 :func:`repro.pipeline.runall.write_manifest`) records the experiment
 config and corpus inventory of a completed ``repro all`` run.  It is
-the *input* to every query backend — the in-RAM index builder in
-:mod:`repro.serve.indices` as well as the out-of-core compiler in
-:mod:`repro.store.compile` — so it lives here, below the HTTP tier in
-the layer DAG.  :mod:`repro.serve.indices` re-exports these names for
-compatibility with existing callers.
+the *input* to the store compiler in :mod:`repro.store.compile` and to
+both tiers that open the compiled store (:mod:`repro.store.backend`,
+reached from ``repro serve`` through :mod:`repro.serve.indices`), so it
+lives here, below the HTTP tier in the layer DAG.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import time
@@ -66,7 +68,58 @@ def test_figure8(capsys):
 
 
 def test_figure_out_of_range(capsys):
-    assert main(["figure", "12", *TINY]) == 2
+    for number in ("0", "12"):
+        assert main(["figure", number, *TINY]) == 2
+        assert "the paper has figures 1-9" in capsys.readouterr().err
+
+
+# -- single-artifact commands print and write what `repro all` writes ---------
+
+ARTIFACT_COMMANDS = [
+    ["table1"], ["table2"], *(["figure", str(number)] for number in range(1, 10))
+]
+
+
+@pytest.fixture(scope="module")
+def run_all_tiny(tmp_path_factory):
+    """One uncached `repro all` at TINY: its output directory and the
+    names of the `.txt` files it wrote, in the order it wrote them."""
+    out = tmp_path_factory.mktemp("all")
+    journal = tmp_path_factory.mktemp("journal")
+    log = io.StringIO()
+    with contextlib.redirect_stdout(log):
+        argv = ["all", str(out), *TINY, "--no-cache", "--journal-dir", str(journal)]
+        assert main(argv) == 0
+    reported = [
+        line.removeprefix("  wrote ")
+        for line in log.getvalue().splitlines()
+        if line.startswith("  wrote ")
+    ]
+    return out, [name for name in reported if (out / f"{name}.txt").exists()]
+
+
+@pytest.mark.parametrize("command", ARTIFACT_COMMANDS, ids=" ".join)
+def test_artifact_command_prints_the_run_text(command, run_all_tiny, capsys):
+    """stdout is the task's `.txt` files, joined by one empty line."""
+    out, written = run_all_tiny
+    task = "".join(command)
+    names = [name for name in written if name == task or name.startswith(f"{task}_")]
+    assert names
+    assert main([*command, *TINY]) == 0
+    expected = "\n".join((out / f"{name}.txt").read_text() for name in names)
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ARTIFACT_COMMANDS, ids=" ".join)
+def test_artifact_command_csv_writes_the_run_csvs(command, run_all_tiny, tmp_path):
+    """`--csv DIR` writes the task's CSV files, with the run's names and bytes."""
+    out, __ = run_all_tiny
+    assert main([*command, *TINY, "--csv", str(tmp_path)]) == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    expected = sorted(path.name for path in out.glob(f"{''.join(command)}*.csv"))
+    assert written == expected
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_discover(capsys):
@@ -369,8 +422,8 @@ def test_serve_registry_expansion_and_run_ids(tmp_path):
     from pathlib import Path
 
     from repro.cli import _expand_run_paths, _run_id_of
-    from repro.pipeline.config import ExperimentConfig
-    from repro.pipeline.runall import MANIFEST_NAME, write_manifest
+    from repro.pipeline.config import MANIFEST_NAME, ExperimentConfig
+    from repro.pipeline.runall import write_manifest
 
     registry = tmp_path / "registry"
     for name in ("alpha", "beta"):

@@ -15,11 +15,12 @@ from repro.core.graph import EntitySiteGraph
 from repro.core.incidence import BipartiteIncidence
 from repro.core.setcover import greedy_set_cover
 from repro.perf import ArtifactCache, configure_cache
-from repro.pipeline.config import ExperimentConfig
+from repro.pipeline.config import MANIFEST_NAME, ExperimentConfig
 from repro.pipeline.experiments import spread_incidence
-from repro.pipeline.runall import MANIFEST_NAME, write_manifest
+from repro.pipeline.runall import write_manifest
 from repro.serve import ServeSettings
-from repro.serve.indices import Manifest, build_index, load_manifest
+from repro.serve.indices import build_index
+from repro.store import Manifest, load_manifest
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
 

@@ -8,8 +8,9 @@ import pytest
 
 from repro.pipeline.config import ExperimentConfig
 from repro.serve import ServeApp, ServeSettings
-from repro.serve.indices import Manifest, build_index
+from repro.serve.indices import build_index
 from repro.serve.server import _decode_cursor, _encode_cursor
+from repro.store import Manifest
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
 

@@ -22,8 +22,8 @@ from repro.serve import (
     ShardedServer,
     build_index,
     load_manifest,
-    manifest_identity,
 )
+from repro.store import manifest_identity
 
 
 @pytest.fixture(autouse=True)

@@ -11,7 +11,8 @@ import pytest
 from repro.pipeline.config import ExperimentConfig
 from repro.resilience import ENV_FAULTS, clear_plan_cache
 from repro.serve import FastHTTPServer, ServeApp, ServeSettings
-from repro.serve.indices import Manifest, build_index
+from repro.serve.indices import build_index
+from repro.store import Manifest
 
 CONFIG = ExperimentConfig(scale="tiny", seed=0).scaled_down(400)
 

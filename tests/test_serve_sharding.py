@@ -23,7 +23,7 @@ from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.runall import write_manifest
 from repro.serve import ServeApp, ServeSettings, WORKER_HEADER
 from repro.serve.fasthttp import FastHTTPServer, listen
-from repro.serve.indices import Manifest, build_index
+from repro.serve.indices import build_index
 from repro.serve.loadgen import (
     OpenLoadPlan,
     build_open_schedule,
@@ -31,6 +31,7 @@ from repro.serve.loadgen import (
     run_open_load,
 )
 from repro.serve.sharding import ShardPlan, ShardedServer
+from repro.store import Manifest
 from tests.processes import (
     LIFECYCLE_BOUND_S,
     children,
@@ -104,8 +105,6 @@ def test_shard_plan_validation():
         ShardPlan(workers=0)
     with pytest.raises(ValueError):
         ShardPlan(reload_poll_seconds=-1.0)
-    with pytest.raises(ValueError):
-        ShardPlan(backlog=0)
 
 
 def test_sharded_server_needs_index_or_manifest():
