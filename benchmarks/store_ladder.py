@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import http.client
 import json
 import os
 import subprocess
@@ -49,12 +48,15 @@ from repro.pipeline.runall import write_manifest  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
     LoadPlan,
     build_streams,
+    fetch,
+    latency_summary,
     run_load,
     stream_digest,
 )
 from repro.store import Manifest, build_store  # noqa: E402
 
 TIERS = ("ram", "mmap")
+HOST = "127.0.0.1"
 RSS_RATIO_MAX = 0.5
 P99_RATIO_MAX = 5.0
 #: /v1/setcover budgets whose whole bodies must match across tiers.
@@ -96,24 +98,6 @@ def write_run(root: Path, config: ExperimentConfig) -> Manifest:
     )
 
 
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile over a sorted copy, in milliseconds."""
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return round(ordered[rank] * 1000.0, 3)
-
-
-def latency_summary(samples: list[float]) -> dict[str, float]:
-    """p50/p95/p99/mean/max in milliseconds."""
-    return {
-        "p50_ms": percentile(samples, 0.50),
-        "p95_ms": percentile(samples, 0.95),
-        "p99_ms": percentile(samples, 0.99),
-        "mean_ms": round(sum(samples) / len(samples) * 1000.0, 3),
-        "max_ms": round(max(samples) * 1000.0, 3),
-    }
-
-
 def spawn_server(run: Path, cache: Path, backend: str) -> tuple[subprocess.Popen, int]:
     """Start a fresh one-tier server process; return (process, port)."""
     env = dict(os.environ)
@@ -133,21 +117,6 @@ def spawn_server(run: Path, cache: Path, backend: str) -> tuple[subprocess.Popen
     return process, int(json.loads(line)["port"])
 
 
-def fetch_body(port: int, path: str) -> bytes:
-    """One GET against the freshly bound server: the raw body."""
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
-    try:
-        connection.request("GET", path)
-        return connection.getresponse().read()
-    finally:
-        connection.close()
-
-
-def fetch_summary(port: int) -> dict:
-    """GET /healthz from the freshly bound server."""
-    return json.loads(fetch_body(port, "/healthz"))
-
-
 def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
     """One ladder rung: fresh server, seeded load, RSS by pid."""
     print(f"[{backend}] starting server...", flush=True)
@@ -155,21 +124,21 @@ def run_rung(run: Path, cache: Path, backend: str, plan: LoadPlan) -> dict:
     process, port = spawn_server(run, cache, backend)
     ready_seconds = time.perf_counter() - started
     try:
-        streams = build_streams(fetch_summary(port), plan)
+        __, healthz = fetch(HOST, port, "/healthz", timeout=120)
+        streams = build_streams(json.loads(healthz), plan)
         print(
             f"[{backend}] port {port}, ready in {ready_seconds:.1f}s, "
             f"stream sha256 {stream_digest(streams)[:12]}",
             flush=True,
         )
-        result = run_load("127.0.0.1", port, streams)
+        result = run_load(HOST, port, streams)
         # VmHWM must be read while the server process is still alive.
         rss_mb = rss_high_water_mb(process.pid)
-        setcover_sha256 = {
-            str(budget): hashlib.sha256(
-                fetch_body(port, f"/v1/setcover/restaurants?budget={budget}")
-            ).hexdigest()
-            for budget in SETCOVER_BUDGETS
-        }
+        setcover_sha256 = {}
+        for budget in SETCOVER_BUDGETS:
+            path = f"/v1/setcover/restaurants?budget={budget}"
+            __, body = fetch(HOST, port, path, timeout=120)
+            setcover_sha256[str(budget)] = hashlib.sha256(body).hexdigest()
     finally:
         process.terminate()
         process.wait(timeout=10)

@@ -453,23 +453,21 @@ def _parse_sweep(text: str | None) -> list[float] | None:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import http.client
     import json
 
     from repro.perf import peak_rss_mb
-    from repro.serve import (
+    from repro.serve import ShardPlan, ShardedServer
+    from repro.serve.loadgen import (
         LoadPlan,
         OpenLoadPlan,
-        ShardPlan,
-        ShardedServer,
         build_open_schedule,
         build_streams,
+        fetch,
         find_knee,
         run_load,
         run_open_load,
         stream_digest,
         write_bench_report,
-        write_open_bench_report,
     )
 
     status = _install_fault_plan(args.inject_faults)
@@ -584,12 +582,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             result = run_load(host, port, streams, keep_alive=args.keep_alive == "on")
         if args.workers == 1:
             # With N > 1 workers, /metrics would answer for one shard.
-            connection = http.client.HTTPConnection(host, port, timeout=30)
-            try:
-                connection.request("GET", "/metrics")
-                metrics = json.loads(connection.getresponse().read())
-            finally:
-                connection.close()
+            metrics = json.loads(fetch(host, port, "/metrics")[1])
     finally:
         # Peak RSS must be read while the serving processes are alive:
         # /proc/<pid>/status vanishes with the worker.
@@ -600,17 +593,17 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         f"self-hosted {host}:{port} "
         f"({args.workers} worker(s), {args.mode} loop)"
     )
+    payload = write_bench_report(
+        args.report,
+        open_plan if open_mode else plan,
+        result,
+        server_metrics=metrics,
+        target=target,
+        rss_mb=rss_mb,
+        sweep=sweep,
+        warmup=warmup,
+    )
     if open_mode:
-        payload = write_open_bench_report(
-            args.report,
-            open_plan,
-            result,
-            sweep=sweep,
-            server_metrics=metrics,
-            target=target,
-            warmup=warmup,
-            rss_mb=rss_mb,
-        )
         print(
             f"offered {payload['offered_rate_rps']} req/s for "
             f"{open_plan.duration_seconds}s over "
@@ -623,21 +616,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"knee: {sweep['knee_rate_rps']} req/s offered with p99 "
                 f"under {sweep['p99_budget_ms']}ms"
             )
-        if payload["per_worker"]:
-            print(f"per-worker requests: {payload['per_worker']}")
     else:
-        payload = write_bench_report(
-            args.report,
-            plan,
-            result,
-            server_metrics=metrics,
-            target=target,
-            rss_mb=rss_mb,
-        )
         print(
             f"{result.total_requests} requests in {result.wall_seconds:.2f}s "
             f"({payload['throughput_rps']} req/s) with {plan.clients} client(s)"
         )
+    if payload["per_worker"]:
+        print(f"per-worker requests: {payload['per_worker']}")
     latency = payload["latency_ms"]
     print(
         f"latency p50={latency['p50_ms']}ms p95={latency['p95_ms']}ms "

@@ -3,7 +3,8 @@
 Three cooperating pieces (see ``docs/performance.md``):
 
 - :mod:`repro.perf.fingerprint` — deterministic content fingerprints
-  over (generator parameters, scale, seed, artifact kind);
+  over (generator parameters, scale, seed, artifact kind), and
+  ``derive_seed``, the per-stream seed every generator draws from;
 - :mod:`repro.perf.cache` — a content-addressed on-disk cache with
   hit/miss/put statistics and an LRU byte budget;
 - :mod:`repro.perf.executor` — topologically staged, process-parallel
@@ -36,7 +37,7 @@ from repro.perf.executor import (
     execute_tasks,
     stage_tasks,
 )
-from repro.perf.fingerprint import canonical_payload, fingerprint
+from repro.perf.fingerprint import canonical_payload, derive_seed, fingerprint
 from repro.perf.history import (
     collect_bench_rows,
     format_history,
@@ -59,6 +60,7 @@ __all__ = [
     "canonical_payload",
     "collect_bench_rows",
     "configure_cache",
+    "derive_seed",
     "execute_tasks",
     "fingerprint",
     "format_history",

@@ -12,6 +12,11 @@ The scheme is versioned: bump ``SCHEMA_VERSION`` whenever the meaning
 of an artifact kind changes (e.g. a generator tweak that keeps its
 parameters but changes its output), which orphans all old entries
 rather than serving stale bytes.
+
+:func:`derive_seed` is the one stream-seed derivation: the pipeline's
+corpora and traffic logs and the load generator's request and arrival
+streams all seed from it, so a label names the same stream in every
+process.
 """
 
 from __future__ import annotations
@@ -19,11 +24,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import zlib
 from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["SCHEMA_VERSION", "canonical_payload", "fingerprint"]
+__all__ = ["SCHEMA_VERSION", "canonical_payload", "derive_seed", "fingerprint"]
 
 #: Bump to invalidate every existing cache entry (format/semantics change).
 SCHEMA_VERSION = 1
@@ -84,3 +90,13 @@ def fingerprint(kind: str, **components: Any) -> str:
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     )
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+def derive_seed(seed: int, label: str) -> int:
+    """Per-stream RNG seed from a master seed and a stream label.
+
+    CRC-32 rather than ``hash()`` keeps the value stable across
+    processes, so every run, worker and client derives the same stream
+    for the same ``(seed, label)``.
+    """
+    return (seed * 7_368_787 + zlib.crc32(label.encode())) & 0x7FFFFFFF

@@ -25,7 +25,6 @@ through it, so they print and write the same bytes.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,7 +52,7 @@ from repro.entities.domains import (
     table1_rows,
 )
 from repro.extract.runner import ExtractionRunner
-from repro.perf import active_cache, fingerprint
+from repro.perf import active_cache, derive_seed, fingerprint
 from repro.pipeline.config import ExperimentConfig
 from repro.report.figures import ascii_plot
 from repro.report.tables import ascii_table
@@ -90,11 +89,6 @@ __all__ = [
 TRAFFIC_SITES = ("imdb", "amazon", "yelp")
 
 
-def _stream_seed(config: ExperimentConfig, label: str) -> int:
-    """Derive a deterministic per-experiment seed from the master seed."""
-    return (config.seed * 7_368_787 + zlib.crc32(label.encode())) & 0x7FFFFFFF
-
-
 # ---------------------------------------------------------------------------
 # Cache-aware artifact builders
 # ---------------------------------------------------------------------------
@@ -117,7 +111,7 @@ def spread_incidence(
     distinct corpus get generated exactly once per cache lifetime.
     """
     profile = get_profile(domain, attribute)
-    seed = _stream_seed(config, f"spread:{domain}:{attribute}")
+    seed = derive_seed(config.seed, f"spread:{domain}:{attribute}")
     cache = active_cache()
     if cache is None:
         return profile.generate(config.scale_preset, seed=seed)
@@ -142,7 +136,7 @@ def _graph_metrics_row(
             "table2-row",
             profile=get_profile(domain, attribute),
             scale=config.scale_preset,
-            seed=_stream_seed(config, f"spread:{domain}:{attribute}"),
+            seed=derive_seed(config.seed, f"spread:{domain}:{attribute}"),
             max_bfs=config.max_bfs,
         )
         rows = cache.get_records(key)
@@ -179,7 +173,7 @@ def _robustness_panel(
             "robustness",
             profile=get_profile(domain, attribute),
             scale=config.scale_preset,
-            seed=_stream_seed(config, f"spread:{domain}:{attribute}"),
+            seed=derive_seed(config.seed, f"spread:{domain}:{attribute}"),
             max_removed=max_removed,
         )
         arrays = cache.get_arrays(key)
@@ -378,7 +372,7 @@ def build_traffic_dataset(site: str, config: ExperimentConfig) -> TrafficDataset
     three Figure 6–8 runners each need all three sites, so one cold
     simulation per site serves all of them.
     """
-    seed = _stream_seed(config, f"traffic:{site}")
+    seed = derive_seed(config.seed, f"traffic:{site}")
     profile = get_site_profile(site)
     cache = active_cache()
     key = None
@@ -772,7 +766,7 @@ def run_spread_via_extraction(
     Returns:
         ``(result_on_extracted, truth_incidence)``.
     """
-    seed = _stream_seed(config, f"pipeline:{domain}:{attribute}")
+    seed = derive_seed(config.seed, f"pipeline:{domain}:{attribute}")
     scale = config.scale_preset
     database = _build_database(domain, attribute, scale.n_entities, seed)
     profile = get_profile(domain, attribute)

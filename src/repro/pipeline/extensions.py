@@ -22,7 +22,6 @@ pipeline artifacts.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.core.graph import EntitySiteGraph
 from repro.core.redundancy import RedundancyReport, redundancy_report
 from repro.discovery.bootstrap import BootstrapExpansion
 from repro.discovery.noisy import NoisyExpansion
-from repro.perf import active_cache, fingerprint
+from repro.perf import active_cache, derive_seed, fingerprint
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.experiments import spread_incidence
 from repro.report.tables import ascii_table
@@ -50,10 +49,6 @@ __all__ = [
     "run_staleness_study",
     "run_user_tail_study",
 ]
-
-
-def _seed(config: ExperimentConfig, label: str) -> int:
-    return (config.seed * 7_368_787 + zlib.crc32(label.encode())) & 0x7FFFFFFF
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ def run_discovery_study(
             "discovery-study",
             profile=get_profile(domain, attribute),
             scale=config.scale_preset,
-            stream_seed=_seed(config, f"spread:{domain}:{attribute}"),
+            stream_seed=derive_seed(config.seed, f"spread:{domain}:{attribute}"),
             master_seed=config.seed,
             max_bfs=config.max_bfs,
             seed_size=seed_size,
@@ -167,7 +162,7 @@ def run_redundancy_study(
                 "redundancy-report",
                 profile=get_profile(domain, attribute),
                 scale=config.scale_preset,
-                stream_seed=_seed(config, f"spread:{domain}:{attribute}"),
+                stream_seed=derive_seed(config.seed, f"spread:{domain}:{attribute}"),
             )
             rows = cache.get_records(key)
             if rows:
@@ -200,7 +195,7 @@ def run_user_tail_study(
             get_site_profile(site),
             n_entities=config.traffic_entities,
             n_cookies=config.traffic_cookies,
-            seed=_seed(config, f"traffic:{site}"),
+            seed=derive_seed(config.seed, f"traffic:{site}"),
         )
         log = (
             generator.browse_log(config.traffic_events)
@@ -276,7 +271,7 @@ def run_staleness_study(
             "staleness-study",
             profile=get_profile(domain, attribute),
             scale=config.scale_preset,
-            stream_seed=_seed(config, f"spread:{domain}:{attribute}"),
+            stream_seed=derive_seed(config.seed, f"spread:{domain}:{attribute}"),
             master_seed=config.seed,
             epochs=epochs,
             churn=churn,

@@ -32,10 +32,11 @@ cooperating pieces:
 - :mod:`repro.serve.batcher` — a micro-batcher that coalesces
   concurrent identical queries (one computation serves every
   simultaneous requester).
-- :mod:`repro.serve.loadgen` — seeded load generators
-  (``repro serve-bench``): the PR4-compatible closed loop and the
-  open-loop Poisson generator with rate sweeps, emitting latency /
-  throughput / knee reports to ``BENCH_PR7.json``.
+- :mod:`repro.serve.loadgen` — the seeded load generator
+  (``repro serve-bench``): closed and open (Poisson, rate-sweep) loops
+  over one raw-socket HTTP client, writing latency / throughput / knee
+  reports.  It is a client, not part of the server: this package does
+  not import it, so a ``repro serve`` process never loads it.
 
 Layering: ``serve`` sits *above* ``pipeline`` and ``store`` in the
 DESIGN.md §3 DAG, because it is an online consumer of the batch
@@ -48,21 +49,6 @@ concurrently without locks.
 from repro.serve.batcher import MicroBatcher
 from repro.serve.fasthttp import FastHTTPServer
 from repro.serve.indices import build_index
-from repro.serve.loadgen import (
-    LoadPlan,
-    LoadResult,
-    OpenLoadPlan,
-    OpenLoadResult,
-    build_open_schedule,
-    build_streams,
-    find_knee,
-    open_rate_summary,
-    run_load,
-    run_open_load,
-    stream_digest,
-    write_bench_report,
-    write_open_bench_report,
-)
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 from repro.serve.rcache import ResponseCache
 from repro.serve.reload import ManifestWatcher
@@ -78,12 +64,8 @@ from repro.store.manifest import load_manifest
 __all__ = [
     "FastHTTPServer",
     "LatencyHistogram",
-    "LoadPlan",
-    "LoadResult",
     "ManifestWatcher",
     "MicroBatcher",
-    "OpenLoadPlan",
-    "OpenLoadResult",
     "ResponseCache",
     "RunRouter",
     "ServeApp",
@@ -93,14 +75,5 @@ __all__ = [
     "ShardedServer",
     "WORKER_HEADER",
     "build_index",
-    "build_open_schedule",
-    "build_streams",
-    "find_knee",
     "load_manifest",
-    "open_rate_summary",
-    "run_load",
-    "run_open_load",
-    "stream_digest",
-    "write_bench_report",
-    "write_open_bench_report",
 ]

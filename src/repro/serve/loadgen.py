@@ -1,12 +1,13 @@
 """Seeded load generators for the serve tier (``repro serve-bench``).
 
-Two measurement models over the same deterministic request streams:
+Two measurement models replay the same deterministic request streams
+through one HTTP client, :class:`Connection`:
 
-- **Closed loop** (:func:`run_load`, the PR4-compatible default): each
-  client waits for a response before sending its next request over an
-  ``http.client`` connection.  Latency is request-to-response;
-  throughput is self-limiting — the server can never look overloaded
-  because the clients slow down with it.
+- **Closed loop** (:func:`run_load`, the default): each client thread
+  sends a request and waits for its response before sending the next.
+  Latency runs from the send to the response; throughput is
+  self-limiting — the server can never look overloaded because the
+  clients slow down with it.
 - **Open loop** (:func:`run_open_load`): requests are *scheduled* by a
   seeded Poisson arrival process at a configured offered rate and sent
   when their arrival time comes due, whether or not earlier responses
@@ -15,60 +16,66 @@ Two measurement models over the same deterministic request streams:
   charged to the server.  :func:`find_knee` sweeps offered rates to
   locate the knee: the highest rate whose p99 stays under budget.
 
-Determinism contract: the request stream is a pure function of
-``(healthz summary, LoadPlan)``.  Each client derives its own seed with
-the pipeline's CRC stream-derivation formula and draws from an
-independent ``numpy`` generator, so streams are reproducible per client
-regardless of thread interleaving; ``request_stream_sha256`` in the
-report is the proof — two runs with the same seed against the same
-index hash identically.  Open-loop arrival schedules extend the same
-contract: each connection runs an independent seeded Poisson process
-(their superposition is Poisson at the offered rate), so the full
-(path, arrival) timeline is reproducible from the plan alone.
+Both loops fill one :class:`LoadResult`, and :func:`write_bench_report`
+writes either one as JSON.  Responses carry the shard id in the
+``X-Repro-Worker`` header, and both loops count requests per worker, so
+a report shows exactly how the round-robin router spread the
+connections.
 
-Responses carry the shard id in the ``X-Repro-Worker`` header; the
-open-loop client records per-worker counts so a report shows exactly
-how the kernel (or the round-robin router) spread the connections.
+Determinism contract: the request stream is a pure function of
+``(healthz summary, LoadPlan)``.  Each client seeds its own ``numpy``
+generator with :func:`repro.perf.derive_seed`, the pipeline's stream
+derivation, so streams are reproducible per client regardless of
+thread interleaving; ``request_stream_sha256`` in the report is the
+proof — two runs with the same seed against the same index hash
+identically.  Open-loop arrival schedules extend the same contract:
+each connection runs an independent seeded Poisson process (their
+superposition is Poisson at the offered rate), so the full
+(path, arrival) timeline is reproducible from the plan alone.
 
 Popularity follows the paper's head/tail framing: entity picks are
 Zipf-distributed over the catalog (rank 1 hottest), site picks are Zipf
 over the size-ranked host head, and coverage depths are Zipf over
 ``t`` so shallow top-t queries dominate — the shape a real query
 service absorbs.
+
+The server never imports this module (``repro.serve`` does not
+re-export it), so a ``repro serve`` process carries no client code.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import hashlib
-import http.client
 import json
 import socket
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.io import atomic_write_text
+from repro.perf import derive_seed
 
 __all__ = [
+    "Connection",
     "LoadPlan",
     "LoadResult",
     "OpenLoadPlan",
-    "OpenLoadResult",
     "build_open_schedule",
     "build_streams",
+    "fetch",
     "find_knee",
+    "latency_summary",
     "open_rate_summary",
     "run_load",
     "run_open_load",
     "stream_digest",
     "write_bench_report",
-    "write_open_bench_report",
 ]
 
 #: Endpoint mix (weights sum to 100): point reads dominate, and set
@@ -105,12 +112,6 @@ class LoadPlan:
             raise ValueError("requests must be >= 1")
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be positive")
-
-
-def _client_seed(plan: LoadPlan, client: int) -> int:
-    """Per-client stream seed (same formula the pipeline uses)."""
-    label = f"serve-bench:client:{client}"
-    return (plan.seed * 7_368_787 + zlib.crc32(label.encode())) & 0x7FFFFFFF
 
 
 def _zipf_probs(n: int, exponent: float) -> np.ndarray:
@@ -150,7 +151,9 @@ def build_streams(summary: dict, plan: LoadPlan) -> list[list[str]]:
     streams: list[list[str]] = []
     for client in range(plan.clients):
         count = base + (1 if client < remainder else 0)
-        rng = np.random.default_rng(_client_seed(plan, client))
+        rng = np.random.default_rng(
+            derive_seed(plan.seed, f"serve-bench:client:{client}")
+        )
         paths: list[str] = []
         for __ in range(count):
             endpoint = endpoints[int(rng.choice(len(endpoints), p=mix))]
@@ -213,13 +216,48 @@ def _endpoint_of(path: str) -> str:
 
 @dataclass
 class LoadResult:
-    """Measured outcome of one closed-loop run."""
+    """Measured outcome of one closed- or open-loop run.
+
+    ``offered_rate`` is the open loop's offered req/s and None for a
+    closed loop.  The loops' threads record through :meth:`record`.
+    """
 
     wall_seconds: float
     stream_sha256: str
     latencies: dict[str, list[float]] = field(repr=False, default_factory=dict)
     statuses: dict[str, int] = field(default_factory=dict)
+    worker_requests: dict[str, int] = field(default_factory=dict)
     transport_errors: int = 0
+    offered_rate: float | None = None
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def record(
+        self,
+        status: int,
+        endpoint: str | None = None,
+        seconds: float = 0.0,
+        worker: str | None = None,
+        count: int = 1,
+    ) -> None:
+        """Count ``count`` requests that ended in ``status``.
+
+        ``endpoint`` adds ``seconds`` as one latency sample under that
+        endpoint; requests a failure left unanswered pass none.
+        ``worker`` is the ``X-Repro-Worker`` id of the answering shard.
+        """
+        with self._lock:
+            key = str(status)
+            self.statuses[key] = self.statuses.get(key, 0) + count
+            if status == CLIENT_ERROR_STATUS:
+                self.transport_errors += count
+            if worker is not None:
+                self.worker_requests[worker] = (
+                    self.worker_requests.get(worker, 0) + count
+                )
+            if endpoint is not None:
+                self.latencies.setdefault(endpoint, []).append(seconds)
 
     @property
     def total_requests(self) -> int:
@@ -248,8 +286,8 @@ def _percentile(samples: list[float], q: float) -> float:
     return ranked[rank - 1]
 
 
-def _latency_summary(samples: list[float]) -> dict[str, float]:
-    """p50/p95/p99/mean/max in milliseconds."""
+def latency_summary(samples: list[float]) -> dict[str, float]:
+    """p50/p95/p99/mean/max in milliseconds (nearest rank ``ceil(q·n)``)."""
     if not samples:
         return {name: 0.0 for name in ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms")}
     return {
@@ -261,6 +299,93 @@ def _latency_summary(samples: list[float]) -> dict[str, float]:
     }
 
 
+# -- the client ----------------------------------------------------------------
+
+
+def _request_bytes(host: str, path: str, keep_alive: bool = True) -> bytes:
+    """One GET request head; ``keep_alive=False`` asks the server to close."""
+    close = "" if keep_alive else "Connection: close\r\n"
+    return f"GET {path} HTTP/1.1\r\nHost: {host}\r\n{close}\r\n".encode("latin-1")
+
+
+class Connection:
+    """One HTTP/1.1 client connection over a raw socket.
+
+    :meth:`send` writes request bytes (one request or a pipelined
+    batch) and :meth:`read_response` reads the answers strictly in
+    order, as the server sends them.  Bodies are framed by
+    ``Content-Length``, the only framing the serve tier's HTTP shell
+    (:mod:`repro.serve.fasthttp`) emits.
+    """
+
+    __slots__ = ("sock", "_buf")
+
+    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
+        """Connect to ``host:port`` with Nagle's algorithm off."""
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        self._buf = bytearray()
+
+    def send(self, data: bytes) -> None:
+        """Write ``data`` whole."""
+        self.sock.sendall(data)
+
+    def _fill(self) -> None:
+        chunk = self.sock.recv(1 << 16)
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        self._buf += chunk
+
+    def read_response(self) -> tuple[int, str | None, bytes]:
+        """Read one response: ``(status, X-Repro-Worker header, body)``."""
+        while True:
+            end = self._buf.find(b"\r\n\r\n")
+            if end >= 0:
+                break
+            self._fill()
+        head = bytes(self._buf[:end])
+        del self._buf[: end + 4]
+        lines = head.split(b"\r\n")
+        status = int(lines[0].split()[1])
+        length = 0
+        worker: str | None = None
+        for line in lines[1:]:
+            lowered = line.lower()
+            if lowered.startswith(b"content-length:"):
+                length = int(line.split(b":", 1)[1])
+            elif lowered.startswith(b"x-repro-worker:"):
+                worker = line.split(b":", 1)[1].strip().decode("ascii")
+        while len(self._buf) < length:
+            self._fill()
+        body = bytes(self._buf[:length])
+        del self._buf[:length]
+        return status, worker, body
+
+    def close(self) -> None:
+        """Close the socket."""
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+
+def fetch(host: str, port: int, path: str, timeout: float = 30.0) -> tuple[int, bytes]:
+    """One GET on its own connection: ``(status, body)``."""
+    connection = Connection(host, port, timeout)
+    try:
+        connection.send(_request_bytes(host, path, keep_alive=False))
+        status, __, body = connection.read_response()
+    finally:
+        connection.close()
+    return status, body
+
+
+# -- closed-loop generation ----------------------------------------------------
+
+
 def run_load(
     host: str,
     port: int,
@@ -270,52 +395,48 @@ def run_load(
 ) -> LoadResult:
     """Drive the request streams closed-loop; one thread per client.
 
-    Each client owns one pooled keep-alive connection (re-opened after
-    a transport failure, with the failure recorded as status 599) and
-    issues its stream strictly in order, waiting for each response —
-    the classic closed-loop model, so measured latency includes the
-    full server-side queueing the concurrency level induces.
+    Each client holds one keep-alive :class:`Connection` (opened by its
+    first request, and re-opened after a transport failure, which is
+    recorded as status 599) and issues its stream strictly in order,
+    waiting for each response — the classic closed-loop model, so
+    measured latency includes the full server-side queueing the
+    concurrency level induces.  Latency runs from the send, including
+    the connect when the request had to open the connection.
 
-    ``keep_alive=False`` reverts to one connection per request
-    (``Connection: close``), the PR4 behavior — useful for measuring
-    exactly what connection reuse buys.  The request streams (and so
-    the printed stream sha256) are identical either way.
+    ``keep_alive=False`` sends ``Connection: close`` and reconnects for
+    every request — useful for measuring exactly what connection reuse
+    buys.  The request streams (and so the printed stream sha256) are
+    identical either way.
     """
-    lock = threading.Lock()
     result = LoadResult(wall_seconds=0.0, stream_sha256=stream_digest(streams))
 
-    def record(endpoint: str, status: int, seconds: float) -> None:
-        with lock:
-            result.latencies.setdefault(endpoint, []).append(seconds)
-            key = str(status)
-            result.statuses[key] = result.statuses.get(key, 0) + 1
-            if status == CLIENT_ERROR_STATUS:
-                result.transport_errors += 1
-
-    close_header = {} if keep_alive else {"Connection": "close"}
-
     def client_loop(paths: list[str]) -> None:
-        connection = http.client.HTTPConnection(host, port, timeout=timeout)
+        connection: Connection | None = None
         try:
             for path in paths:
                 started = time.perf_counter()
+                worker = None
                 try:
-                    connection.request("GET", path, headers=close_header)
-                    response = connection.getresponse()
-                    response.read()
-                    status = response.status
-                except (OSError, http.client.HTTPException):
+                    if connection is None:
+                        connection = Connection(host, port, timeout)
+                    connection.send(_request_bytes(host, path, keep_alive))
+                    status, worker, __ = connection.read_response()
+                except (OSError, ValueError, IndexError):
                     status = CLIENT_ERROR_STATUS
-                if status == CLIENT_ERROR_STATUS or not keep_alive:
+                if connection is not None and (
+                    status == CLIENT_ERROR_STATUS or not keep_alive
+                ):
                     connection.close()
-                    connection = http.client.HTTPConnection(
-                        host, port, timeout=timeout
-                    )
-                record(
-                    _endpoint_of(path), status, time.perf_counter() - started
+                    connection = None
+                result.record(
+                    status,
+                    _endpoint_of(path),
+                    time.perf_counter() - started,
+                    worker,
                 )
         finally:
-            connection.close()
+            if connection is not None:
+                connection.close()
 
     threads = [
         threading.Thread(target=client_loop, args=(paths,), daemon=True)
@@ -333,45 +454,56 @@ def run_load(
 
 def write_bench_report(
     path: str | Path,
-    plan: LoadPlan,
+    plan: LoadPlan | OpenLoadPlan,
     result: LoadResult,
     server_metrics: dict | None = None,
     target: str = "",
     rss_mb: float | None = None,
+    sweep: dict | None = None,
+    warmup: dict | None = None,
 ) -> dict:
-    """Write the BENCH_PR4-style JSON report; returns the payload.
+    """Write the JSON report of a closed or open run; returns the payload.
 
-    ``rss_mb`` is the server-side peak resident set (max over workers,
-    from :func:`repro.perf.peak_rss_mb`) — the storage-tier benchmarks
-    compare backends on it.
+    A result with an ``offered_rate`` is an open-loop run: its report
+    adds ``mode`` and ``offered_rate_rps`` to the closed-loop keys, and
+    its plan lists rate, duration and connections.  ``rss_mb`` is the
+    server-side peak resident set (max over workers, from
+    :func:`repro.perf.peak_rss_mb`) — the storage-tier benchmarks
+    compare backends on it.  ``sweep`` and ``warmup`` are
+    :func:`find_knee`'s table and the unmeasured warmup run's record.
     """
+    open_loop = result.offered_rate is not None
     payload = {
-        "benchmark": "repro serve closed-loop load generator",
+        "benchmark": (
+            f"repro serve {'open' if open_loop else 'closed'}-loop load generator"
+        ),
         "target": target,
-        "plan": {
-            "seed": plan.seed,
-            "clients": plan.clients,
-            "requests": plan.requests,
-            "zipf_exponent": plan.zipf_exponent,
-        },
+        "plan": dataclasses.asdict(plan),
         "request_stream_sha256": result.stream_sha256,
         "wall_seconds": round(result.wall_seconds, 3),
         "throughput_rps": round(result.throughput_rps, 2),
-        "latency_ms": _latency_summary(result.all_latencies()),
+        "latency_ms": latency_summary(result.all_latencies()),
         "per_endpoint": {
             endpoint: {
                 "count": len(samples),
-                **_latency_summary(samples),
+                **latency_summary(samples),
             }
             for endpoint, samples in sorted(result.latencies.items())
         },
+        "per_worker": dict(sorted(result.worker_requests.items())),
         "statuses": dict(sorted(result.statuses.items())),
         "transport_errors": result.transport_errors,
     }
-    if server_metrics is not None:
-        payload["server_metrics"] = server_metrics
-    if rss_mb is not None:
-        payload["rss_mb"] = rss_mb
+    if open_loop:
+        payload["mode"] = "open"
+        payload["offered_rate_rps"] = round(result.offered_rate, 2)
+    optional = {
+        "sweep": sweep,
+        "server_metrics": server_metrics,
+        "warmup": warmup,
+        "rss_mb": rss_mb,
+    }
+    payload.update((key, value) for key, value in optional.items() if value is not None)
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -424,12 +556,6 @@ class OpenLoadPlan:
         )
 
 
-def _connection_seed(plan: OpenLoadPlan, connection: int) -> int:
-    """Per-connection arrival-stream seed (CRC derivation formula)."""
-    label = f"serve-bench:arrivals:{connection}"
-    return (plan.seed * 7_368_787 + zlib.crc32(label.encode())) & 0x7FFFFFFF
-
-
 def build_open_schedule(plan: OpenLoadPlan) -> list[np.ndarray]:
     """Per-connection Poisson arrival times (seconds from run start).
 
@@ -446,81 +572,12 @@ def build_open_schedule(plan: OpenLoadPlan) -> list[np.ndarray]:
     schedules: list[np.ndarray] = []
     for connection in range(plan.connections):
         count = base + (1 if connection < remainder else 0)
-        rng = np.random.default_rng(_connection_seed(plan, connection))
+        rng = np.random.default_rng(
+            derive_seed(plan.seed, f"serve-bench:arrivals:{connection}")
+        )
         gaps = rng.exponential(1.0 / per_connection_rate, count)
         schedules.append(np.cumsum(gaps))
     return schedules
-
-
-@dataclass
-class OpenLoadResult:
-    """Measured outcome of one open-loop run."""
-
-    offered_rate: float
-    wall_seconds: float
-    stream_sha256: str
-    latencies: dict[str, list[float]] = field(repr=False, default_factory=dict)
-    statuses: dict[str, int] = field(default_factory=dict)
-    worker_requests: dict[str, int] = field(default_factory=dict)
-    transport_errors: int = 0
-
-    @property
-    def total_requests(self) -> int:
-        """Requests completed (including error responses)."""
-        return sum(len(samples) for samples in self.latencies.values())
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second over the wall-clock window."""
-        return self.total_requests / self.wall_seconds if self.wall_seconds else 0.0
-
-    def all_latencies(self) -> list[float]:
-        """Every latency sample (completion − scheduled arrival)."""
-        merged: list[float] = []
-        for samples in self.latencies.values():
-            merged.extend(samples)
-        return merged
-
-
-class _ResponseReader:
-    """Minimal HTTP/1.x response scanner over a raw socket."""
-
-    __slots__ = ("sock", "buf")
-
-    def __init__(self, sock: socket.socket) -> None:
-        """Wrap ``sock``; responses are read strictly in order."""
-        self.sock = sock
-        self.buf = bytearray()
-
-    def _fill(self) -> None:
-        chunk = self.sock.recv(1 << 16)
-        if not chunk:
-            raise ConnectionError("server closed the connection")
-        self.buf += chunk
-
-    def next_response(self) -> tuple[int, str | None]:
-        """Read one response; returns ``(status, worker_id_header)``."""
-        while True:
-            end = self.buf.find(b"\r\n\r\n")
-            if end >= 0:
-                break
-            self._fill()
-        head = bytes(self.buf[:end])
-        del self.buf[: end + 4]
-        lines = head.split(b"\r\n")
-        status = int(lines[0].split()[1])
-        length = 0
-        worker: str | None = None
-        for line in lines[1:]:
-            lowered = line.lower()
-            if lowered.startswith(b"content-length:"):
-                length = int(line.split(b":", 1)[1])
-            elif lowered.startswith(b"x-repro-worker:"):
-                worker = line.split(b":", 1)[1].strip().decode("ascii")
-        while len(self.buf) < length:
-            self._fill()
-        del self.buf[:length]
-        return status, worker
 
 
 def run_open_load(
@@ -530,7 +587,7 @@ def run_open_load(
     schedules: list[np.ndarray],
     offered_rate: float,
     timeout: float = 30.0,
-) -> OpenLoadResult:
+) -> LoadResult:
     """Drive the streams open-loop against ``host:port``.
 
     Connections are established sequentially **before** any traffic
@@ -555,9 +612,8 @@ def run_open_load(
         timeout: Socket timeout for connect/read.
 
     Returns:
-        An :class:`OpenLoadResult`; requests left unanswered by a
-        transport failure are counted as status 599 without latency
-        samples.
+        A :class:`LoadResult`; requests left unanswered by a transport
+        failure are counted as status 599 without latency samples.
     """
     if len(streams) != len(schedules):
         raise ValueError("streams and schedules must align per connection")
@@ -565,45 +621,16 @@ def run_open_load(
         if len(paths) != len(times):
             raise ValueError("per-connection stream/schedule length mismatch")
 
-    lock = threading.Lock()
-    result = OpenLoadResult(
-        offered_rate=offered_rate,
+    result = LoadResult(
         wall_seconds=0.0,
         stream_sha256=stream_digest(streams),
+        offered_rate=offered_rate,
     )
-
-    def record(endpoint: str, status: int, seconds: float, worker: str | None) -> None:
-        with lock:
-            result.latencies.setdefault(endpoint, []).append(seconds)
-            key = str(status)
-            result.statuses[key] = result.statuses.get(key, 0) + 1
-            if worker is not None:
-                result.worker_requests[worker] = (
-                    result.worker_requests.get(worker, 0) + 1
-                )
-
-    def record_failures(count: int) -> None:
-        with lock:
-            key = str(CLIENT_ERROR_STATUS)
-            result.statuses[key] = result.statuses.get(key, 0) + count
-            result.transport_errors += count
-
-    sockets: list[socket.socket] = []
-    for __ in streams:
-        sock = socket.create_connection((host, port), timeout=timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        sockets.append(sock)
-
+    connections = [Connection(host, port, timeout) for __ in streams]
     start = time.perf_counter()
 
-    def writer(sock: socket.socket, paths, times, pending) -> None:
-        payloads = [
-            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("latin-1")
-            for path in paths
-        ]
+    def writer(connection: Connection, paths, times, pending) -> None:
+        payloads = [_request_bytes(host, path) for path in paths]
         i, n = 0, len(paths)
         try:
             while i < n:
@@ -621,34 +648,35 @@ def run_open_load(
                     pending.append((paths[i], float(times[i])))
                     batch += payloads[i]
                     i += 1
-                sock.sendall(batch)
+                connection.send(batch)
         except OSError:
             pass  # the reader observes and accounts for the failure
 
-    def reader(sock: socket.socket, total: int, pending) -> None:
-        parser = _ResponseReader(sock)
+    def reader(connection: Connection, total: int, pending) -> None:
         completed = 0
         try:
             while completed < total:
-                status, worker = parser.next_response()
+                status, worker, __ = connection.read_response()
                 finished = time.perf_counter() - start
                 path, scheduled = pending.popleft()
-                record(_endpoint_of(path), status, finished - scheduled, worker)
+                result.record(
+                    status, _endpoint_of(path), finished - scheduled, worker
+                )
                 completed += 1
-        except (OSError, ConnectionError, ValueError, IndexError):
-            record_failures(total - completed)
+        except (OSError, ValueError, IndexError):
+            result.record(CLIENT_ERROR_STATUS, count=total - completed)
 
     threads: list[threading.Thread] = []
-    for sock, paths, times in zip(sockets, streams, schedules):
+    for connection, paths, times in zip(connections, streams, schedules):
         pending: collections.deque = collections.deque()
         threads.append(
             threading.Thread(
-                target=writer, args=(sock, paths, times, pending), daemon=True
+                target=writer, args=(connection, paths, times, pending), daemon=True
             )
         )
         threads.append(
             threading.Thread(
-                target=reader, args=(sock, len(paths), pending), daemon=True
+                target=reader, args=(connection, len(paths), pending), daemon=True
             )
         )
     # A cyclic-GC pass over the generator's growing sample lists stalls
@@ -662,19 +690,16 @@ def run_open_load(
             thread.start()
         for thread in threads:
             thread.join()
+        result.wall_seconds = time.perf_counter() - start
     finally:
         if gc_was_enabled:
             gc.enable()
-    result.wall_seconds = time.perf_counter() - start
-    for sock in sockets:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        for connection in connections:
+            connection.close()
     return result
 
 
-def open_rate_summary(result: OpenLoadResult) -> dict:
+def open_rate_summary(result: LoadResult) -> dict:
     """One sweep row: rate, achieved throughput, latency, errors."""
     samples = result.all_latencies()
     return {
@@ -695,7 +720,7 @@ def find_knee(
     rates: list[float],
     p99_budget_ms: float,
     timeout: float = 30.0,
-) -> tuple[dict, OpenLoadResult | None]:
+) -> tuple[dict, LoadResult | None]:
     """Sweep offered rates ascending; find the p99-under-budget knee.
 
     A rate *passes* when its open-loop p99 (against scheduled arrivals)
@@ -709,7 +734,7 @@ def find_knee(
         ``{"p99_budget_ms", "rates": [row...], "knee_rate_rps",
         "knee": row | None}`` record where each row is
         :func:`open_rate_summary` output plus ``"ok"``.
-        ``knee_result`` is the full :class:`OpenLoadResult` of the knee
+        ``knee_result`` is the full :class:`LoadResult` of the knee
         rung (None when no rate passed) — report *that* run rather than
         re-measuring, so the headline numbers are the very samples that
         established the knee.
@@ -718,7 +743,7 @@ def find_knee(
         raise ValueError("need at least one rate to sweep")
     rows: list[dict] = []
     knee: dict | None = None
-    knee_result: OpenLoadResult | None = None
+    knee_result: LoadResult | None = None
     for rate in sorted(rates):
         step = plan.at_rate(rate)
         streams = build_streams(summary, step.closed_plan())
@@ -743,56 +768,3 @@ def find_knee(
         "knee": knee,
     }
     return sweep, knee_result
-
-
-def write_open_bench_report(
-    path: str | Path,
-    plan: OpenLoadPlan,
-    result: OpenLoadResult,
-    sweep: dict | None = None,
-    server_metrics: dict | None = None,
-    target: str = "",
-    warmup: dict | None = None,
-    rss_mb: float | None = None,
-) -> dict:
-    """Write the BENCH_PR7-style open-loop JSON report; returns it.
-
-    ``rss_mb``: server-side peak resident set in MB (max over workers).
-    """
-    payload = {
-        "benchmark": "repro serve open-loop load generator",
-        "mode": "open",
-        "target": target,
-        "plan": {
-            "seed": plan.seed,
-            "rate": plan.rate,
-            "duration_seconds": plan.duration_seconds,
-            "connections": plan.connections,
-            "zipf_exponent": plan.zipf_exponent,
-        },
-        "request_stream_sha256": result.stream_sha256,
-        "offered_rate_rps": round(result.offered_rate, 2),
-        "wall_seconds": round(result.wall_seconds, 3),
-        "throughput_rps": round(result.throughput_rps, 2),
-        "latency_ms": _latency_summary(result.all_latencies()),
-        "per_endpoint": {
-            endpoint: {
-                "count": len(samples),
-                **_latency_summary(samples),
-            }
-            for endpoint, samples in sorted(result.latencies.items())
-        },
-        "per_worker": dict(sorted(result.worker_requests.items())),
-        "statuses": dict(sorted(result.statuses.items())),
-        "transport_errors": result.transport_errors,
-    }
-    if sweep is not None:
-        payload["sweep"] = sweep
-    if server_metrics is not None:
-        payload["server_metrics"] = server_metrics
-    if warmup is not None:
-        payload["warmup"] = warmup
-    if rss_mb is not None:
-        payload["rss_mb"] = rss_mb
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload

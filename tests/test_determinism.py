@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.incidence import BipartiteIncidence
 from repro.io import load_incidence, save_incidence
-from repro.pipeline.config import ExperimentConfig
-from repro.pipeline.experiments import _stream_seed
+from repro.perf.fingerprint import derive_seed
 from repro.webgen.profiles import _profile_seed, get_profile
 
 
@@ -31,17 +30,15 @@ def test_profile_seed_is_process_independent():
 
 
 def test_stream_seed_is_process_independent():
-    config = ExperimentConfig(seed=3)
     import zlib
 
     expected = (3 * 7_368_787 + zlib.crc32(b"traffic:yelp")) & 0x7FFFFFFF
-    assert _stream_seed(config, "traffic:yelp") == expected
+    assert derive_seed(3, "traffic:yelp") == expected
 
 
 def test_different_labels_different_streams():
-    config = ExperimentConfig(seed=0)
     seeds = {
-        _stream_seed(config, f"spread:{domain}:phone")
+        derive_seed(0, f"spread:{domain}:phone")
         for domain in ("banks", "hotels", "schools")
     }
     assert len(seeds) == 3

@@ -3,8 +3,9 @@
 IMP001 enforces this statically from the committed import-cost tables;
 these tests enforce it dynamically: a fresh interpreter importing the
 serve tier must not load ``repro.pipeline.experiments`` (or the other
-heavy batch modules) nor the stdlib ``http.server`` (its one HTTP
-shell is ``repro.serve.fasthttp``), the PEP 562 lazy exports of
+heavy batch modules), the stdlib ``http.server`` (its one HTTP shell is
+``repro.serve.fasthttp``), nor ``http.client`` and the load generator
+(``repro.serve.loadgen`` is a client), the PEP 562 lazy exports of
 ``repro.pipeline`` must still behave like the old eager ones, and the
 Section 5 experiments (Table 2, Figure 9) must not load scipy.
 """
@@ -50,7 +51,10 @@ def test_importing_serve_skips_the_batch_stack():
 
 
 def test_importing_serve_skips_the_stdlib_http_server():
-    assert "http.server" not in _loaded_after("import repro.serve")
+    """No stdlib HTTP server or client, and not the load generator."""
+    loaded = _loaded_after("import repro.serve")
+    for module in ("http.server", "http.client", "repro.serve.loadgen"):
+        assert module not in loaded, module
 
 
 def test_importing_pipeline_package_is_lazy():

@@ -1,4 +1,4 @@
-"""repro.serve.loadgen: stream determinism, percentiles, report shape."""
+"""repro.serve.loadgen: stream determinism, percentiles, results, reports."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.serve.loadgen import (
     LoadPlan,
     LoadResult,
     OpenLoadPlan,
-    OpenLoadResult,
     _endpoint_of,
     _percentile,
     build_open_schedule,
@@ -22,7 +21,6 @@ from repro.serve.loadgen import (
     run_open_load,
     stream_digest,
     write_bench_report,
-    write_open_bench_report,
 )
 
 SUMMARY = {
@@ -146,11 +144,140 @@ def test_write_bench_report_shape(tmp_path):
     assert payload["per_endpoint"]["setcover"]["count"] == 2
     assert payload["statuses"]["200"] == 3
     assert payload["transport_errors"] == 1
+    assert payload["per_worker"] == {}
+    assert "mode" not in payload and "offered_rate_rps" not in payload
     assert "server_metrics" not in payload
     with_metrics = write_bench_report(
         path, plan, result, server_metrics={"requests_total": 4}
     )
     assert with_metrics["server_metrics"] == {"requests_total": 4}
+
+
+#: One closed and one open run's fixed inputs, and the reports they
+#: must produce key for key and value for value: the committed closed-
+#: and open-loop report shapes, with ``per_worker`` in both.
+CLOSED_RESULT = dict(
+    wall_seconds=2.0,
+    stream_sha256="abc123",
+    latencies={"entity": [0.001, 0.002], "setcover": [0.1, 0.2]},
+    statuses={"200": 3, "599": 1},
+    worker_requests={"0": 3},
+    transport_errors=1,
+)
+CLOSED_REPORT = {
+    "benchmark": "repro serve closed-loop load generator",
+    "latency_ms": {
+        "max_ms": 200.0, "mean_ms": 75.75, "p50_ms": 2.0, "p95_ms": 200.0,
+        "p99_ms": 200.0,
+    },
+    "per_endpoint": {
+        "entity": {
+            "count": 2, "max_ms": 2.0, "mean_ms": 1.5, "p50_ms": 1.0,
+            "p95_ms": 2.0, "p99_ms": 2.0,
+        },
+        "setcover": {
+            "count": 2, "max_ms": 200.0, "mean_ms": 150.0, "p50_ms": 100.0,
+            "p95_ms": 200.0, "p99_ms": 200.0,
+        },
+    },
+    "per_worker": {"0": 3},
+    "plan": {"clients": 2, "requests": 4, "seed": 7, "zipf_exponent": 1.1},
+    "request_stream_sha256": "abc123",
+    "rss_mb": 41.5,
+    "server_metrics": {"requests_total": 4},
+    "statuses": {"200": 3, "599": 1},
+    "target": "unit-test",
+    "throughput_rps": 2.0,
+    "transport_errors": 1,
+    "wall_seconds": 2.0,
+}
+SWEEP = {
+    "knee": {"offered_rate_rps": 100.0, "ok": True, "p99_ms": 4.0},
+    "knee_rate_rps": 100.0,
+    "p99_budget_ms": 50.0,
+    "rates": [{"offered_rate_rps": 100.0, "ok": True, "p99_ms": 4.0}],
+}
+WARMUP = {"rate_rps": 100.0, "requests": 100, "transport_errors": 0}
+OPEN_RESULT = dict(
+    wall_seconds=1.5,
+    stream_sha256="deadbeef",
+    latencies={"entity": [0.001, 0.002], "site": [0.004]},
+    statuses={"200": 3},
+    worker_requests={"0": 2, "1": 1},
+    offered_rate=100.0,
+)
+OPEN_REPORT = {
+    "benchmark": "repro serve open-loop load generator",
+    "latency_ms": {
+        "max_ms": 4.0, "mean_ms": 2.333, "p50_ms": 2.0, "p95_ms": 4.0,
+        "p99_ms": 4.0,
+    },
+    "mode": "open",
+    "offered_rate_rps": 100.0,
+    "per_endpoint": {
+        "entity": {
+            "count": 2, "max_ms": 2.0, "mean_ms": 1.5, "p50_ms": 1.0,
+            "p95_ms": 2.0, "p99_ms": 2.0,
+        },
+        "site": {
+            "count": 1, "max_ms": 4.0, "mean_ms": 4.0, "p50_ms": 4.0,
+            "p95_ms": 4.0, "p99_ms": 4.0,
+        },
+    },
+    "per_worker": {"0": 2, "1": 1},
+    "plan": {
+        "connections": 2, "duration_seconds": 1.0, "rate": 100.0, "seed": 7,
+        "zipf_exponent": 1.1,
+    },
+    "request_stream_sha256": "deadbeef",
+    "rss_mb": 40.0,
+    "server_metrics": {"requests_total": 3},
+    "statuses": {"200": 3},
+    "sweep": SWEEP,
+    "target": "unit-test",
+    "throughput_rps": 2.0,
+    "transport_errors": 0,
+    "wall_seconds": 1.5,
+    "warmup": WARMUP,
+}
+
+
+def test_write_bench_report_pins_both_modes(tmp_path):
+    closed = write_bench_report(
+        tmp_path / "closed.json",
+        LoadPlan(seed=7, clients=2, requests=4),
+        LoadResult(**CLOSED_RESULT),
+        server_metrics={"requests_total": 4},
+        target="unit-test",
+        rss_mb=41.5,
+    )
+    assert closed == CLOSED_REPORT
+    assert json.loads((tmp_path / "closed.json").read_text()) == CLOSED_REPORT
+    opened = write_bench_report(
+        tmp_path / "open.json",
+        OpenLoadPlan(seed=7, rate=100.0, duration_seconds=1.0, connections=2),
+        LoadResult(**OPEN_RESULT),
+        server_metrics={"requests_total": 3},
+        target="unit-test",
+        rss_mb=40.0,
+        sweep=SWEEP,
+        warmup=WARMUP,
+    )
+    assert opened == OPEN_REPORT
+    assert json.loads((tmp_path / "open.json").read_text()) == OPEN_REPORT
+
+
+def test_record_counts_statuses_workers_and_transport_errors():
+    result = LoadResult(wall_seconds=1.0, stream_sha256="x")
+    result.record(200, "entity", 0.002, "1")
+    result.record(CLIENT_ERROR_STATUS, "site", 0.5)
+    result.record(CLIENT_ERROR_STATUS, count=3)
+    assert result.statuses == {"200": 1, "599": 4}
+    assert result.transport_errors == 4
+    assert result.worker_requests == {"1": 1}
+    # Unanswered requests carry no latency sample.
+    assert result.latencies == {"entity": [0.002], "site": [0.5]}
+    assert result.total_requests == 2
 
 
 def test_empty_pairs_rejected():
@@ -212,14 +339,14 @@ def test_open_schedule_mean_rate_matches_offer():
 
 def test_write_open_bench_report_shape(tmp_path):
     plan = OpenLoadPlan(seed=7, rate=100.0, duration_seconds=1.0, connections=2)
-    result = OpenLoadResult(
-        offered_rate=100.0,
+    result = LoadResult(
         wall_seconds=1.0,
         stream_sha256="deadbeef",
         latencies={"entity": [0.001, 0.002]},
         statuses={"200": 2},
         worker_requests={"0": 1, "1": 1},
         transport_errors=0,
+        offered_rate=100.0,
     )
     sweep = {
         "p99_budget_ms": 50.0,
@@ -228,7 +355,7 @@ def test_write_open_bench_report_shape(tmp_path):
         "knee": {"offered_rate_rps": 100.0, "p99_ms": 2.0, "ok": True},
     }
     path = tmp_path / "BENCH_PR7.json"
-    payload = write_open_bench_report(path, plan, result, sweep=sweep)
+    payload = write_bench_report(path, plan, result, sweep=sweep)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
     assert payload["mode"] == "open"
@@ -240,13 +367,13 @@ def test_write_open_bench_report_shape(tmp_path):
 
 
 def test_open_rate_summary_counts_errors():
-    result = OpenLoadResult(
-        offered_rate=10.0,
+    result = LoadResult(
         wall_seconds=2.0,
         stream_sha256="x",
         latencies={"entity": [0.004, 0.002]},
         statuses={"200": 2, str(CLIENT_ERROR_STATUS): 3},
         transport_errors=3,
+        offered_rate=10.0,
     )
     row = open_rate_summary(result)
     assert row["offered_rate_rps"] == 10.0

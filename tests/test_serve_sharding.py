@@ -25,9 +25,13 @@ from repro.serve import ServeApp, ServeSettings, WORKER_HEADER
 from repro.serve.fasthttp import FastHTTPServer, listen
 from repro.serve.indices import build_index
 from repro.serve.loadgen import (
+    Connection,
+    LoadPlan,
     OpenLoadPlan,
     build_open_schedule,
     build_streams,
+    fetch,
+    run_load,
     run_open_load,
 )
 from repro.serve.sharding import ShardPlan, ShardedServer
@@ -132,6 +136,34 @@ def fast_server(index):
     server.shutdown()
     thread.join(timeout=5)
     app.close()
+
+
+def test_loadgen_client_reads_what_http_client_reads(fast_server):
+    """fetch() returns http.client's status and body bytes, 200 and 404."""
+    server, __ = fast_server
+    host, port = server.server_address[:2]
+    for path, expected_status in (("/healthz", 200), ("/v1/nope", 404)):
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            reference = (response.status, response.read())
+        finally:
+            connection.close()
+        assert reference[0] == expected_status
+        assert fetch(host, port, path) == reference
+    # Pipelined on one connection, answers come back in order with the
+    # worker header.
+    connection = Connection(host, port)
+    try:
+        connection.send(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /v1/nope HTTP/1.1\r\n\r\n"
+        )
+        first, second = connection.read_response(), connection.read_response()
+    finally:
+        connection.close()
+    assert first == (200, "3", fetch(host, port, "/healthz")[1])
+    assert second[:2] == (404, "3")
 
 
 def test_fasthttp_pipelined_requests_one_write(fast_server, expected_bodies):
@@ -319,6 +351,23 @@ def test_open_loop_attribution_reproducible_across_runs(index):
     # Round-robin over two connections splits the stream exactly.
     assert sorted(first.worker_requests) == ["0", "1"]
     assert sum(first.worker_requests.values()) == plan.requests
+
+
+def test_closed_loop_records_per_worker_counts(index):
+    """Each closed-loop client holds one connection, so two clients meet
+    both workers of a two-worker router."""
+    app = ServeApp(index, ServeSettings(response_cache_entries=0))
+    summary = json.loads(app.handle("/healthz")[1])
+    app.close()
+    streams = build_streams(summary, LoadPlan(seed=7, clients=2, requests=20))
+    server, host, port = _start(index, 2)
+    try:
+        result = run_load(host, port, streams)
+    finally:
+        server.stop()
+    assert result.transport_errors == 0
+    assert sorted(result.worker_requests) == ["0", "1"]
+    assert sum(result.worker_requests.values()) == 20
 
 
 def test_worker_metrics_report_worker_id(index):
