@@ -36,17 +36,19 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The PR acceptance matrix: run_everything across (workers × cache),
-# byte-identity check included; writes BENCH_PR2.json at the repo root.
+# byte-identity check included.  Writes benchmarks/output/perf_matrix.json,
+# never over the committed BENCH_PR2.json record.
 bench-json:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_matrix.py --out BENCH_PR2.json
+	PYTHONPATH=src $(PYTHON) benchmarks/perf_matrix.py
 
 # Serve-side latency benchmark: build artifacts, replay a seeded load
-# against a self-hosted server; writes BENCH_PR4.json at the repo root.
+# against a self-hosted server.  Writes benchmarks/output/serve_bench.json;
+# the committed BENCH_PR4.json and docs/performance.md stay untouched.
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m repro all artifacts/
 	PYTHONPATH=src $(PYTHON) -m repro serve-bench artifacts/ \
-		--seed 7 --clients 4 --requests 200 --report BENCH_PR4.json
-	PYTHONPATH=src $(PYTHON) -m repro bench --history
+		--seed 7 --clients 4 --requests 200 \
+		--report benchmarks/output/serve_bench.json
 
 # Storage-tier ladder: serve the same 100k-entity corpus from each
 # backend (ram / mmap) in a fresh process, compare RSS high-water marks

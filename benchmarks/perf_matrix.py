@@ -9,12 +9,14 @@ Runs ``run_everything`` in four modes —
 
 checks every artifact is byte-identical across all of them, and writes
 one JSON report (wall-clock per mode and per task, cache hit rates,
-speedups, machine facts).  ``make bench-json`` writes ``BENCH_PR2.json``
-at the repo root.
+speedups, machine facts).  The report goes to
+``benchmarks/output/perf_matrix.json`` unless ``--out`` names another
+path, so a run never overwrites the committed ``BENCH_PR2.json``
+record (``make bench-json`` runs the default).
 
 Usage::
 
-    python benchmarks/perf_matrix.py --out BENCH_PR2.json
+    python benchmarks/perf_matrix.py
     python benchmarks/perf_matrix.py --scale tiny --quick-traffic
 """
 
@@ -76,7 +78,11 @@ def run_mode(
 def main(argv: list[str] | None = None) -> int:
     """Run the matrix; returns non-zero if outputs diverge."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_PR2.json"))
+    parser.add_argument(
+        "--out",
+        type=Path,
+        default=Path(__file__).resolve().parent / "output" / "perf_matrix.json",
+    )
     parser.add_argument("--scale", default="small")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=4)

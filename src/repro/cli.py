@@ -337,11 +337,7 @@ def _serve_settings(args: argparse.Namespace, port: int):
     return ServeSettings(
         host=args.host,
         port=port,
-        deadline_seconds=args.deadline,
-        query_threads=args.query_threads,
-        response_cache_entries=(
-            0 if args.no_response_cache else args.response_cache_entries
-        ),
+        response_cache_entries=args.response_cache_entries,
     )
 
 
@@ -931,29 +927,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes sharing the port (default: 1)",
         )
         sub.add_argument(
-            "--deadline",
-            type=float,
-            default=5.0,
-            metavar="SECONDS",
-            help="per-request wall-clock budget (default: 5.0)",
-        )
-        sub.add_argument(
-            "--query-threads",
-            type=int,
-            default=8,
-            help="worker threads executing query bodies (default: 8)",
-        )
-        sub.add_argument(
             "--response-cache-entries",
             type=int,
             default=1024,
             metavar="N",
-            help="LRU response-cache capacity (default: 1024)",
-        )
-        sub.add_argument(
-            "--no-response-cache",
-            action="store_true",
-            help="disable the response cache (byte-identity checks)",
+            help="LRU response-cache capacity; 0 turns the cache off "
+            "(default: 1024)",
         )
         sub.add_argument(
             "--no-cache",

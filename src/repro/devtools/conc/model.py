@@ -10,9 +10,8 @@ instance attributes.
 
 Nested functions and lambdas are scanned as separate summaries with an
 *empty* held-lock set: they execute later (on an executor, as a thread
-target), not under the locks held at their definition site.  This is
-what keeps ``MicroBatcher``'s single-flight closure — defined inside
-``with self._lock:`` but run on the pool — out of false positives.
+target), not under the locks held at their definition site, so a
+closure defined inside ``with self._lock:`` raises no false positive.
 
 ``# guarded-by: <lock>`` comments are collected per line so the lock
 model can honour explicit guard annotations in addition to inference.

@@ -15,9 +15,9 @@ cooperating pieces:
 - :mod:`repro.serve.server` — the transport-free JSON request core
   (``/v1/entity``, ``/v1/site`` with pagination cursors,
   ``/v1/coverage``, ``/v1/demand``, ``/v1/setcover``, ``/healthz``,
-  ``/metrics``) with per-request deadlines from
-  :class:`repro.resilience.RetryPolicy`, fault-injectable handlers
-  (``--inject-faults``), and epoch-swappable indices (hot reload).
+  ``/metrics``), answered on each connection's own thread, with
+  fault-injectable handlers (``--inject-faults``) and epoch-swappable
+  indices (hot reload).
 - :mod:`repro.serve.fasthttp` — the one HTTP shell: pipelining
   keep-alive HTTP/1.1 (batched writes, buffer-scan parsing).
 - :mod:`repro.serve.sharding` — the host every ``repro serve`` runs
@@ -30,8 +30,8 @@ cooperating pieces:
   :func:`repro.perf.fingerprint` digests; responses are byte-identical
   with and without it.
 - :mod:`repro.serve.batcher` — a micro-batcher that coalesces
-  concurrent identical queries (one computation serves every
-  simultaneous requester).
+  concurrent identical queries (one computation, on the first
+  requester's thread, serves every simultaneous requester).
 - :mod:`repro.serve.loadgen` — the seeded load generator
   (``repro serve-bench``): closed and open (Poisson, rate-sweep) loops
   over one raw-socket HTTP client, writing latency / throughput / knee

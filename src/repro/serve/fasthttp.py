@@ -11,9 +11,10 @@ thread-per-connection loop that
 - handles **pipelined** requests back-to-back, batching every response
   produced from the same buffered chunk into a single ``sendall`` —
   the write syscall amortizes across the pipeline depth;
-- answers through :meth:`repro.serve.server.ServeApp.handle`, so
-  routing, caching, deadlines, metrics, and fault injection live in
-  the transport-free app, not here;
+- answers through :meth:`repro.serve.server.ServeApp.handle` on the
+  connection's own thread, so routing, caching, metrics, and fault
+  injection live in the transport-free app, not here, and a request
+  that stalls holds only its own connection;
 - honors keep-alive semantics: HTTP/1.1 persists unless the request
   says ``Connection: close``, HTTP/1.0 closes unless it says
   ``keep-alive``, and non-GET methods get a 501 and a close (a body we
@@ -46,7 +47,6 @@ _REASONS = {
     404: "Not Found",
     500: "Internal Server Error",
     501: "Not Implemented",
-    504: "Gateway Timeout",
 }
 
 _TERMINATOR = b"\r\n\r\n"

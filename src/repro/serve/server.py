@@ -1,13 +1,11 @@
-"""The HTTP query service: routing, deadlines, caching, fault hooks.
+"""The HTTP query service: routing, caching, fault hooks.
 
 :class:`ServeApp` is the transport-free request handler.
 ``handle(path)`` maps a request path (with query string) to
-``(status, body_bytes)``.  All heavy queries run on a worker pool so
-the caller can enforce the per-request deadline
-(``RetryPolicy.timeout_seconds`` semantics from :mod:`repro.resilience`)
-with ``future.result(timeout=...)``; a deadline miss returns 504
-without wedging the connection.  Tests drive this object directly, no
-sockets needed.  The one HTTP shell around it is
+``(status, body_bytes)``, answering on the calling thread — in the
+HTTP shell, the thread that reads the request's connection — so a
+query that stalls holds only its own connection.  Tests drive this
+object directly, no sockets needed.  The one HTTP shell around it is
 :class:`~repro.serve.fasthttp.FastHTTPServer`, which
 :class:`~repro.serve.sharding.ShardedServer` runs for every worker
 count.
@@ -15,7 +13,7 @@ count.
 Determinism contract: handlers are pure functions of the immutable
 :class:`~repro.store.backend.QueryIndex`, and bodies are rendered with
 sorted keys, so a response is byte-identical whether it came from the
-LRU cache, the micro-batcher's shared future, or a cold computation.
+LRU cache, the micro-batcher's shared run, or a cold computation.
 
 Hot reload: everything derived from one index generation — the index
 itself, the response cache, the in-flight batcher, and the path-key
@@ -27,9 +25,10 @@ with, new requests see the new one, and a torn read (old pair data
 with new demand tables, say) is impossible by construction.
 
 Fault injection: each query endpoint calls
-``active_plan().apply_task_faults("serve:<endpoint>", ...)`` inside the
-pooled work, so an ``op=hang,task=serve:*`` directive wedges the
-handler — and must trip the deadline — while ``op=error`` surfaces as a
+``active_plan().apply_task_faults("serve:<endpoint>", ...)`` before its
+handler, so an ``op=hang,task=serve:*`` directive wedges that request
+(and any identical request coalesced onto it) until the hang ends,
+while every other request keeps answering; ``op=error`` surfaces as a
 500.  This puts the serving path under the same chaos suite as the
 batch pipeline.
 """
@@ -40,13 +39,11 @@ import base64
 import binascii
 import json
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.perf import fingerprint
-from repro.resilience import InjectedTaskError, RetryPolicy, active_plan
+from repro.resilience import InjectedTaskError, active_plan
 from repro.serve.batcher import MicroBatcher
 from repro.serve.metrics import ServeMetrics
 from repro.serve.rcache import ResponseCache
@@ -75,9 +72,6 @@ class ServeSettings:
     Attributes:
         host: Bind address for the HTTP shell.
         port: Bind port (0 = ephemeral, useful in tests/CI).
-        deadline_seconds: Per-request wall-clock budget, enforced with
-            ``RetryPolicy`` semantics (one attempt, hard timeout).
-        query_threads: Worker threads executing query bodies.
         response_cache_entries: LRU response-cache capacity; 0 disables
             the cache entirely (for byte-identity comparisons).
         max_setcover_budget: Upper bound on ``/v1/setcover?budget=``.
@@ -87,17 +81,11 @@ class ServeSettings:
 
     host: str = "127.0.0.1"
     port: int = 8123
-    deadline_seconds: float = 5.0
-    query_threads: int = 8
     response_cache_entries: int = 1024
     max_setcover_budget: int = 500
     max_site_entities: int = 500
 
     def __post_init__(self) -> None:
-        if self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
-        if self.query_threads < 1:
-            raise ValueError("query_threads must be >= 1")
         if self.response_cache_entries < 0:
             raise ValueError("response_cache_entries must be >= 0")
         if self.max_setcover_budget < 1 or self.max_site_entities < 1:
@@ -177,19 +165,12 @@ class ServeApp:
         settings: ServeSettings | None = None,
         worker_id: int = 0,
     ) -> None:
-        """Wire the index to a worker pool, caches, and metrics."""
+        """Wire the index to caches and metrics."""
         self.settings = settings or ServeSettings()
         self.worker_id = int(worker_id)
-        self.policy = RetryPolicy(
-            max_attempts=1, timeout_seconds=self.settings.deadline_seconds
-        )
         self.metrics = ServeMetrics()
         self.metrics.set_index_build_seconds(index.build_seconds)
         self._epoch = _Epoch(index, self.settings)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.settings.query_threads,
-            thread_name_prefix="serve-query",
-        )
 
     # Back-compat accessors: tests and callers address the *current*
     # epoch's structures through the app.
@@ -221,8 +202,7 @@ class ServeApp:
         self.metrics.count_index_swap()
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Nothing to stop: every request runs on its caller's thread."""
 
     # -- routing --------------------------------------------------------------
 
@@ -310,13 +290,13 @@ class ServeApp:
         epoch: _Epoch,
         target: str,
     ) -> tuple[int, bytes]:
-        """Run one cacheable query: LRU -> micro-batcher -> worker pool.
+        """Run one cacheable query: LRU -> micro-batcher -> compute.
 
         The cache key fingerprints (endpoint, normalized params, index
         identity); the same key coalesces concurrent identical requests
-        onto one future.  Each caller applies its own deadline, so a
-        wedged handler (fault-injected or not) costs its requesters one
-        timeout each, never the server.
+        onto one run, on the first requester's own thread.  A wedged
+        handler (fault-injected or not) holds only the requests waiting
+        on that key, never the server.
         """
         assert endpoint in _CACHEABLE
         key = fingerprint(
@@ -334,17 +314,9 @@ class ServeApp:
             cached = epoch.rcache.get(key)
             if cached is not None:
                 return cached
-        future: Future = epoch.batcher.submit(
-            key, self._executor, lambda: self._compute(endpoint, params, epoch)
+        status, body = epoch.batcher.submit(
+            key, lambda: self._compute(endpoint, params, epoch)
         )
-        try:
-            status, body = future.result(timeout=self.policy.timeout_seconds)
-        except FutureTimeout:
-            message = (
-                f"deadline of {self.policy.timeout_seconds:g}s exceeded "
-                f"for {endpoint}"
-            )
-            return 504, _render({"error": message, "status": 504})
         if epoch.rcache is not None and status == 200:
             epoch.rcache.put(key, status, body)
         return status, body
@@ -352,7 +324,7 @@ class ServeApp:
     def _compute(
         self, endpoint: str, params: dict[str, str], epoch: _Epoch
     ) -> tuple[int, bytes]:
-        """Query body, run on the worker pool (fault-injectable).
+        """Query body, run by the batcher's leader (fault-injectable).
 
         Always returns a response tuple — errors become status codes
         here, inside the endpoint's attribution scope, so `/metrics`
@@ -371,8 +343,8 @@ class ServeApp:
         except (KeyError, ValueError) as exc:
             return 400, _render({"error": str(exc), "status": 400})
         except Exception as exc:
-            # Includes injected faults: a wedged or raising handler must
-            # answer its own requesters, never take the pool down.
+            # Includes injected faults: a raising handler must answer its
+            # own requesters, never drop their connections.
             return 500, _render(
                 {"error": f"{type(exc).__name__}: {exc}", "status": 500}
             )
@@ -592,7 +564,6 @@ class ServeApp:
             else {"enabled": False}
         )
         payload["batcher"] = epoch.batcher.stats()
-        payload["deadline_seconds"] = self.policy.timeout_seconds
         payload["index_fingerprint"] = epoch.index.identity
         payload["backend"] = epoch.index.backend
         return payload
@@ -673,6 +644,6 @@ class RunRouter:
         }
 
     def close(self) -> None:
-        """Shut down every run's worker pool (idempotent)."""
+        """Close every run's app (idempotent)."""
         for app in self.apps.values():
             app.close()

@@ -408,6 +408,21 @@ def test_serve_bench_mmap_backend_run(serve_artifacts, tmp_path, capsys):
     assert payload["rss_mb"] > 0
 
 
+@pytest.mark.parametrize("command", ["serve", "serve-bench"])
+@pytest.mark.parametrize(
+    "flag", [["--query-threads", "8"], ["--deadline", "5"], ["--no-response-cache"]]
+)
+def test_serve_commands_reject_removed_flags(command, flag, capsys):
+    """Requests run on their connection threads: no pool size, no
+    deadline; `--response-cache-entries 0` is the one cache switch."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "out/", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_serve_bench_backend_rejects_no_cache(serve_artifacts, capsys):
     assert main(
         [
