@@ -63,23 +63,26 @@ P99_RATIO_MAX = 5.0
 SETCOVER_BUDGETS = (1, 10, 500)
 
 # Runs in a fresh interpreter per tier: opens the run with one backend,
-# prints the bound port as JSON, then serves until killed.
+# serves it from a one-worker ShardedServer (the host `repro serve` runs,
+# malloc arena cap included), prints the bound port as JSON, then serves
+# until killed.
 _SERVER_STUB = """
-import json, sys
+import json, sys, threading
 from pathlib import Path
 from repro.perf import ArtifactCache, configure_cache
 from repro.serve import (
-    FastHTTPServer, ServeApp, ServeSettings, build_index, load_manifest,
+    ServeSettings, ShardPlan, ShardedServer, build_index, load_manifest,
 )
 run, cache, backend = sys.argv[1:4]
 configure_cache(ArtifactCache(directory=Path(cache)))
-app = ServeApp(
-    build_index(load_manifest(Path(run)), backend=backend),
-    ServeSettings(port=0, response_cache_entries=0),
+server = ShardedServer(
+    index=build_index(load_manifest(Path(run)), backend=backend),
+    settings=ServeSettings(port=0, response_cache_entries=0),
+    plan=ShardPlan(workers=1),
 )
-server = FastHTTPServer(app)
-print(json.dumps({"port": server.server_address[1]}), flush=True)
-server.serve_forever()
+host, port = server.start()
+print(json.dumps({"port": port}), flush=True)
+threading.Event().wait()
 """
 
 

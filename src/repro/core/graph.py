@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence, sorted_unique
+from repro.core.incidence import BipartiteIncidence, sorted_unique, transpose_csr
 
 __all__ = [
     "ComponentSummary",
@@ -125,23 +125,16 @@ class EntitySiteGraph:
         n_entities = incidence.n_entities
         n = n_entities + incidence.n_sites
         self.n_nodes = n
-        sizes = incidence.site_sizes()
-        edge_sites = np.repeat(np.arange(incidence.n_sites), sizes) + n_entities
         # The incidence is already CSR by site, so the site half of the
-        # adjacency is a straight copy; only the entity half needs a
-        # grouping pass.  A stable sort of entity_idx alone (half the
-        # edge list) keeps each entity's neighbour sites ascending,
-        # matching what a full stable sort of both halves would produce.
-        order = np.argsort(incidence.entity_idx, kind="stable")
-        self._adj_ptr = np.zeros(n + 1, dtype=np.int64)
-        entity_counts = np.bincount(incidence.entity_idx, minlength=n_entities)
-        np.cumsum(entity_counts, out=self._adj_ptr[1:n_entities + 1])
-        self._adj_ptr[n_entities + 1:] = self._adj_ptr[n_entities] + np.cumsum(
-            sizes
-        )
+        # adjacency is a straight copy; the entity half is its transpose,
+        # which keeps each entity's neighbour sites ascending.
+        entity_ptr, entity_sites = transpose_csr(incidence)
         n_edges = len(incidence.entity_idx)
+        self._adj_ptr = np.empty(n + 1, dtype=np.int64)
+        self._adj_ptr[:n_entities + 1] = entity_ptr
+        self._adj_ptr[n_entities + 1:] = n_edges + incidence.site_ptr[1:]
         self._adj = np.empty(2 * n_edges, dtype=np.int64)
-        self._adj[:n_edges] = edge_sites[order]
+        self._adj[:n_edges] = entity_sites + n_entities
         self._adj[n_edges:] = incidence.entity_idx
         self._degrees = np.diff(self._adj_ptr)
         self._present = np.flatnonzero(self._degrees > 0)

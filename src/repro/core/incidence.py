@@ -297,8 +297,9 @@ def transpose_csr(incidence: BipartiteIncidence) -> tuple[np.ndarray, np.ndarray
     indices mentioning entity ``e``.  A stable argsort over the edge
     entity indices groups edges by entity while preserving edge order —
     and edges are stored site-ascending, so each entity's site list
-    comes out ascending.  Shared by the in-RAM serving index and the
-    ``repro.store`` compiler so every backend ranks sites identically.
+    comes out ascending.  Shared by the ``repro.store`` compiler,
+    ``EntitySiteGraph`` and ``BootstrapExpansion``, so every consumer
+    ranks sites identically.
     """
     n_sites = len(incidence.site_hosts)
     site_per_edge = np.repeat(

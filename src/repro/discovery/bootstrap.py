@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.incidence import BipartiteIncidence
+from repro.core.incidence import BipartiteIncidence, transpose_csr
 
 __all__ = ["BootstrapExpansion", "ExpansionTrace"]
 
@@ -61,16 +61,7 @@ class BootstrapExpansion:
 
     def __init__(self, incidence: BipartiteIncidence) -> None:
         self.incidence = incidence
-        edge_sites = np.repeat(
-            np.arange(incidence.n_sites), incidence.site_sizes()
-        )
-        order = np.argsort(incidence.entity_idx, kind="stable")
-        self._entity_ptr = np.zeros(incidence.n_entities + 1, dtype=np.int64)
-        counts = np.bincount(
-            incidence.entity_idx, minlength=incidence.n_entities
-        )
-        self._entity_ptr[1:] = np.cumsum(counts)
-        self._entity_sites = edge_sites[order]
+        self._entity_ptr, self._entity_sites = transpose_csr(incidence)
 
     def sites_of_entities(self, entities: np.ndarray) -> np.ndarray:
         """All sites mentioning any of ``entities`` (sorted, unique)."""

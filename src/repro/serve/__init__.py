@@ -19,11 +19,12 @@ cooperating pieces:
   fault-injectable handlers (``--inject-faults``) and epoch-swappable
   indices (hot reload).
 - :mod:`repro.serve.fasthttp` — the one HTTP shell: pipelining
-  keep-alive HTTP/1.1 (batched writes, buffer-scan parsing).
+  keep-alive HTTP/1.1 (batched writes, buffer-scan parsing) over
+  connections it is handed; it owns no listener.
 - :mod:`repro.serve.sharding` — the host every ``repro serve`` runs
-  under: one worker in-process, or N forked workers, each inheriting
-  the index built once in the parent, fed round-robin by the
-  supervisor's fd-passing connection router on one port.
+  under, owning the one listener and the one accept loop: one worker
+  in-process, or N forked workers, each inheriting the index built
+  once in the parent and fed round-robin over fd-passing channels.
 - :mod:`repro.serve.reload` — manifest watching and atomic hot index
   swaps (mtime gate, config-fingerprint gate, epoch replacement).
 - :mod:`repro.serve.rcache` — an LRU response cache keyed on

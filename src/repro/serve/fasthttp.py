@@ -22,10 +22,9 @@ thread-per-connection loop that
 
 The worker id travels on the ``X-Repro-Worker`` response header so the
 load generator can attribute every response to the shard that produced
-it.  The listening socket is injectable, which is how
-:mod:`repro.serve.sharding` hands the in-process worker its listener;
-forked workers own no listener and are fed the connections the
-supervisor routes to them via :meth:`process_connection`.
+it.  The shell owns no listener: :mod:`repro.serve.sharding` accepts
+every connection and hands it to :meth:`process_connection`, in
+process for one worker and over a forked worker's channel for more.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import threading
 
 from repro.serve.server import RunRouter, ServeApp
 
-__all__ = ["FastHTTPServer", "listen"]
+__all__ = ["FastHTTPServer"]
 
 _RECV_SIZE = 1 << 16
 #: A request head larger than this without a terminator is hostile.
@@ -51,106 +50,31 @@ _REASONS = {
 
 _TERMINATOR = b"\r\n\r\n"
 
-#: Listen backlog of every serve listener.
-_BACKLOG = 512
-
-
-def listen(host: str, port: int) -> socket.socket:
-    """A TCP listener on ``host:port``."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, port))
-    sock.listen(_BACKLOG)
-    return sock
-
 
 class FastHTTPServer:
     """Thread-per-connection pipelining HTTP shell over a `ServeApp`."""
 
-    def __init__(
-        self,
-        app: ServeApp | RunRouter,
-        sock: socket.socket | None = None,
-        bind: bool = True,
-    ) -> None:
-        """Wrap ``app``; bind from its settings unless ``sock`` is given.
-
-        Args:
-            app: The request handler (owns routing/caching/metrics).
-            sock: An already-bound, already-listening socket to accept
-                on (the sharding layer passes its listener here).
-                ``None`` binds ``app.settings.host:port``.
-            bind: ``False`` creates a socketless server fed exclusively
-                through :meth:`process_connection` (forked workers).
-        """
+    def __init__(self, app: ServeApp | RunRouter) -> None:
+        """Wrap ``app``, which owns routing, caching and metrics."""
         self.app = app
-        if sock is None and bind:
-            sock = listen(app.settings.host, app.settings.port)
-        self.socket = sock
-        self.server_address = (
-            sock.getsockname() if sock is not None else (app.settings.host, 0)
-        )
-        self._shutdown = threading.Event()
-        self._connections = 0
-        self._lock = threading.Lock()
         # Responses embed the worker id once; precompute the suffix.
         self._worker_suffix = (
             f"X-Repro-Worker: {app.worker_id}\r\n\r\n".encode("ascii")
         )
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def serve_forever(self) -> None:
-        """Accept connections until :meth:`shutdown` closes the socket."""
-        if self.socket is None:
-            raise RuntimeError(
-                "socketless server: feed it via process_connection()"
-            )
-        while not self._shutdown.is_set():
-            try:
-                conn, __ = self.socket.accept()
-            except OSError:
-                break  # listener closed by shutdown()
-            self.process_connection(conn)
-
-    def shutdown(self) -> None:
-        """Stop accepting and close the listener (idempotent)."""
-        self._shutdown.set()
-        if self.socket is not None:
-            # A thread parked in accept() is not woken by close() alone;
-            # poke it with a throwaway connection so it re-checks the flag.
-            try:
-                with socket.create_connection(
-                    self.server_address[:2], timeout=1.0
-                ):
-                    pass
-            except OSError:
-                pass
-            try:
-                self.socket.close()
-            except OSError:
-                pass
-
     def process_connection(self, conn: socket.socket) -> None:
         """Serve one accepted connection on its own daemon thread.
 
-        The sharding router calls this directly with connections whose
-        file descriptors were passed from the supervisor process.
+        The supervisor's accept loop calls this for the in-process
+        worker; a forked worker calls it with each connection whose
+        file descriptor the supervisor passed it.
         """
-        with self._lock:
-            self._connections += 1
-        thread = threading.Thread(
+        threading.Thread(
             target=self._serve_connection,
             args=(conn,),
             daemon=True,
             name="serve-conn",
-        )
-        thread.start()
-
-    def stats(self) -> dict[str, int]:
-        """Connections accepted so far (monotonic counter)."""
-        with self._lock:
-            return {"connections": self._connections}
+        ).start()
 
     # -- the connection loop --------------------------------------------------
 

@@ -70,7 +70,7 @@ class ServeSettings:
     """Operational knobs for the query service.
 
     Attributes:
-        host: Bind address for the HTTP shell.
+        host: Bind address of the server's listener.
         port: Bind port (0 = ephemeral, useful in tests/CI).
         response_cache_entries: LRU response-cache capacity; 0 disables
             the cache entirely (for byte-identity comparisons).
@@ -578,8 +578,7 @@ class RunRouter:
     run unchanged — single-run clients never notice the router — and
     ``/v1/runs`` lists the registry.  The router quacks like a
     :class:`ServeApp` where the HTTP shell cares (``handle`` /
-    ``settings`` / ``worker_id``), so every worker drives it
-    unmodified.
+    ``worker_id``), so every worker drives it unmodified.
     """
 
     def __init__(self, apps: dict[str, ServeApp], default_run: str) -> None:
@@ -587,11 +586,6 @@ class RunRouter:
             raise ValueError(f"default run {default_run!r} not in registry")
         self.apps = dict(apps)
         self.default_run = default_run
-
-    @property
-    def settings(self) -> ServeSettings:
-        """The default run's settings (the shell binds with these)."""
-        return self.apps[self.default_run].settings
 
     @property
     def worker_id(self) -> int:

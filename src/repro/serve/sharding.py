@@ -8,21 +8,22 @@ and runs every worker the same way: a per-worker
 immutable index pages), optionally a
 :class:`~repro.serve.reload.ManifestWatcher` for hot index reload, and
 the pipelined :class:`~repro.serve.fasthttp.FastHTTPServer` shell.
-Whether to fork follows from the worker count:
 
-- **one worker** runs in the calling process on a listener thread — no
-  fork, so it works on platforms without ``fork`` and leaves the
-  caller's garbage collector alone;
+The supervisor owns the only listening socket and runs the only accept
+loop, which hands connections out strictly round-robin in accept
+order.  Whether to fork follows from the worker count:
+
+- **one worker** runs in the calling process: the loop hands each
+  connection to its shell's ``process_connection`` — no fork, so it
+  works on platforms without ``fork`` and leaves the caller's garbage
+  collector alone;
 - **N > 1 workers** are forked children that inherit the index
-  copy-on-write.  The supervisor owns the only listening socket (each
-  worker closes its inherited copy) and passes each accepted
-  connection's file descriptor to a worker over a Unix socketpair
-  (``SCM_RIGHTS`` via :func:`socket.send_fds`), strictly round-robin
-  in accept order.  Workers serve the connection through
-  :meth:`~repro.serve.fasthttp.FastHTTPServer.process_connection`.
-  Round-robin dispatch makes per-worker request attribution
-  reproducible and spreads even two keep-alive connections over two
-  workers (``docs/serving.md`` records why this is the one mechanism).
+  copy-on-write and close their copy of the listener.  The loop passes
+  each connection's file descriptor to a worker over a Unix socketpair
+  (``SCM_RIGHTS`` via :func:`socket.send_fds`).  Round-robin dispatch
+  makes per-worker request attribution reproducible and spreads even
+  two keep-alive connections over two workers (``docs/serving.md``
+  records why this is the one mechanism).
 
 Lifecycle of a forked deployment: the supervisor holds the far end of
 every worker's channel, so when it exits — through
@@ -45,10 +46,11 @@ import os
 import signal
 import socket
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.serve.fasthttp import FastHTTPServer, listen
+from repro.serve.fasthttp import FastHTTPServer
 from repro.serve.indices import build_index
 from repro.serve.reload import ManifestWatcher
 from repro.serve.server import RunRouter, ServeApp, ServeSettings
@@ -58,6 +60,13 @@ from repro.store.manifest import load_manifest
 __all__ = ["ShardPlan", "ShardedServer"]
 
 _READY_TIMEOUT = 60.0
+
+#: Where the accept loop hands a connection: the in-process worker's
+#: shell, or a forked worker's channel.
+_Target = Callable[[socket.socket], None]
+
+#: Listen backlog of the serve listener.
+_BACKLOG = 512
 
 #: glibc's ``mallopt`` parameter number for the arena cap (malloc.h).
 _M_ARENA_MAX = -8
@@ -82,6 +91,25 @@ def _cap_malloc_arenas() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_ARENA_MAX, _MALLOC_ARENAS)
+
+
+def _listen(host: str, port: int) -> socket.socket:
+    """A TCP listener on ``host:port``."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    sock.bind((host, port))
+    sock.listen(_BACKLOG)
+    return sock
+
+
+def _send_over(channel: socket.socket) -> _Target:
+    """A routing target passing each connection to a forked worker."""
+
+    def send(conn: socket.socket) -> None:
+        socket.send_fds(channel, [b"c"], [conn.fileno()])
+        conn.close()  # the worker holds its own duplicate now
+
+    return send
 
 
 def _freeze_gc() -> None:
@@ -187,9 +215,7 @@ class ShardedServer:
             for run_id, path in sorted(self.extra_runs.items())
         }
         self.index = index
-        self._server: FastHTTPServer | None = None  # the in-process worker
-        self._server_thread: threading.Thread | None = None
-        self._watchers: list[ManifestWatcher] = []
+        self._watchers: list[ManifestWatcher] = []  # the in-process worker's
         self._processes: list = []
         self._channels: list[socket.socket] = []
         self._listener: socket.socket | None = None
@@ -204,8 +230,8 @@ class ShardedServer:
 
         An in-process worker is this process.
         """
-        if self._server is not None:
-            return [os.getpid()]
+        if self.plan.workers == 1:
+            return [] if self._listener is None else [os.getpid()]
         return [
             process.pid
             for process in self._processes
@@ -223,26 +249,30 @@ class ShardedServer:
         _cap_malloc_arenas()
         host, port = self.settings.host, self.settings.port
         if self.plan.workers == 1:
-            sock = listen(host, port)
+            self._listener = _listen(host, port)
             app, self._watchers = self._worker_app(0)
-            self._server = FastHTTPServer(app, sock)
-            self._server_thread = threading.Thread(
-                target=self._server.serve_forever,
-                daemon=True,
-                name="serve-accept",
-            )
-            self._server_thread.start()
-            self.server_address = sock.getsockname()[:2]
-            return self.server_address
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                f"{self.plan.workers} workers need the fork start method, "
-                "which this platform lacks; serve with one worker"
-            )
-        ctx = multiprocessing.get_context("fork")
-        self._listener = listen(host, port)
+            targets = [FastHTTPServer(app).process_connection]
+        else:
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise RuntimeError(
+                    f"{self.plan.workers} workers need the fork start method, "
+                    "which this platform lacks; serve with one worker"
+                )
+            self._listener = _listen(host, port)
+            targets = self._fork_workers()
         self.server_address = self._listener.getsockname()[:2]
+        self._router_thread = threading.Thread(
+            target=self._route_accepts,
+            args=(self._listener, targets),
+            daemon=True,
+            name="serve-router",
+        )
+        self._router_thread.start()
+        return self.server_address
 
+    def _fork_workers(self) -> list[_Target]:
+        """Fork every worker, wait until all are ready; one target each."""
+        ctx = multiprocessing.get_context("fork")
         ready_events = []
         for worker_id in range(self.plan.workers):
             ready = ctx.Event()
@@ -269,50 +299,40 @@ class ShardedServer:
                     f"worker {worker_id} never became ready "
                     f"(exitcode {exitcode})"
                 )
-        self._router_thread = threading.Thread(
-            target=self._route_accepts, daemon=True, name="serve-router"
-        )
-        self._router_thread.start()
-        return self.server_address
+        return [_send_over(channel) for channel in self._channels]
 
-    def _route_accepts(self) -> None:
-        """Accept loop: hand each connection fd to live workers round-robin.
+    def _route_accepts(
+        self, listener: socket.socket, targets: list[_Target]
+    ) -> None:
+        """The accept loop: hand each connection to ``targets`` round-robin.
 
-        A channel that refuses the fd belongs to a dead worker: it
+        A target that raises ``OSError`` (a dead worker's channel)
         leaves the rotation and the same connection goes to the next
-        live worker.  Only when no worker is left is it closed unanswered.
+        one.  Only when no target is left is it closed unanswered.
         """
-        assert self._listener is not None
-        channels = list(self._channels)
         turn = 0
         while not self._stopping.is_set():
             try:
-                conn, __ = self._listener.accept()
+                conn, __ = listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            while channels:
-                turn %= len(channels)
+            while targets:
+                turn %= len(targets)
                 try:
-                    socket.send_fds(channels[turn], [b"c"], [conn.fileno()])
+                    targets[turn](conn)
                 except OSError:
-                    del channels[turn]  # route around the dead worker
+                    del targets[turn]  # route around the dead worker
                     continue
                 turn += 1
                 break
-            conn.close()  # the worker holds its own duplicate now
+            else:
+                conn.close()
 
     def stop(self) -> None:
         """Tear the deployment down (idempotent)."""
         self._stopping.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server_thread.join(timeout=5.0)
-            for watcher in self._watchers:
-                watcher.stop()
-            self._server = self._server_thread = None
-            self._watchers = []
         if self._listener is not None:
-            # Wake the router's accept() so it observes the stop flag;
+            # Wake the accept loop so it observes the stop flag;
             # close() alone does not interrupt a parked accept.
             try:
                 with socket.create_connection(self.server_address, timeout=1.0):
@@ -327,6 +347,9 @@ class ShardedServer:
         if self._router_thread is not None:
             self._router_thread.join(timeout=5.0)
             self._router_thread = None
+        for watcher in self._watchers:
+            watcher.stop()
+        self._watchers = []
         for channel in self._channels:
             try:
                 channel.close()  # EOF tells the worker loop to exit
@@ -352,34 +375,26 @@ class ShardedServer:
         :class:`RunRouter` fronts them when extra runs are registered.
         Each run gets its own watcher so runs hot-reload independently.
         """
-        app = ServeApp(self.index, self.settings, worker_id=worker_id)
+        runs = [(self.default_run, self.index, self.manifest_path)] + [
+            (run_id, self.extra_indices[run_id], path)
+            for run_id, path in sorted(self.extra_runs.items())
+        ]
+        apps: dict[str, ServeApp] = {}
         watchers: list[ManifestWatcher] = []
-        if self.plan.reload_poll_seconds > 0 and self.manifest_path is not None:
-            watchers.append(
-                ManifestWatcher(
-                    self.manifest_path,
-                    app,
-                    self.plan.reload_poll_seconds,
-                    builder=self.builder,
-                ).start()
-            )
-        handler: ServeApp | RunRouter = app
-        if self.extra_runs:
-            apps = {self.default_run: app}
-            for run_id, run_index in sorted(self.extra_indices.items()):
-                run_app = ServeApp(run_index, self.settings, worker_id=worker_id)
-                apps[run_id] = run_app
-                if self.plan.reload_poll_seconds > 0:
-                    watchers.append(
-                        ManifestWatcher(
-                            self.extra_runs[run_id],
-                            run_app,
-                            self.plan.reload_poll_seconds,
-                            builder=self.builder,
-                        ).start()
-                    )
-            handler = RunRouter(apps, self.default_run)
-        return handler, watchers
+        for run_id, index, manifest_path in runs:
+            apps[run_id] = ServeApp(index, self.settings, worker_id=worker_id)
+            if self.plan.reload_poll_seconds > 0:
+                watchers.append(
+                    ManifestWatcher(
+                        manifest_path,
+                        apps[run_id],
+                        self.plan.reload_poll_seconds,
+                        builder=self.builder,
+                    ).start()
+                )
+        if len(apps) == 1:
+            return apps[self.default_run], watchers
+        return RunRouter(apps, self.default_run), watchers
 
     def _worker(self, worker_id: int, channel: socket.socket, ready) -> None:
         """Forked worker body: serve connections passed over ``channel``.
@@ -402,7 +417,7 @@ class ShardedServer:
                 pass
         app, __ = self._worker_app(worker_id)
         _freeze_gc()
-        server = FastHTTPServer(app, bind=False)
+        server = FastHTTPServer(app)
         ready.set()
         while True:
             try:

@@ -16,6 +16,9 @@ through one pair class (:class:`~repro.store.mmapcsr.ArrayPair`):
     The same blobs opened with ``np.load(..., mmap_mode="r")``, so the
     OS pages adjacency in on demand and cold rows cost no RSS.
 
+Both tiers also find a site request's host one way:
+:meth:`QueryIndex.host_matches` asks each pair in turn.
+
 Both tiers must render **byte-identical** ``/v1/*`` responses —
 including error-message strings, which the HTTP layer embeds in
 400/404 bodies.  The shared helpers here (`coverage_row`,
@@ -60,8 +63,6 @@ class QueryIndex:
     attribute) to its :class:`~repro.store.mmapcsr.ArrayPair`.
     ``summary()`` deliberately omits the backend name — the
     ``/healthz`` payload is part of the byte-identity contract.
-    ``host_directory`` is the ram tier's
-    :class:`~repro.store.mmapcsr.HostDirectory` (None under mmap).
     """
 
     config: ExperimentConfig
@@ -71,7 +72,6 @@ class QueryIndex:
     identity: str
     build_seconds: float
     backend: str = "ram"
-    host_directory: Any = field(default=None, repr=False)
 
     def resolve_pair(self, domain: str, attribute: str | None) -> Any:
         """Find the index for a domain, defaulting to its first attribute."""
@@ -86,28 +86,25 @@ class QueryIndex:
     ) -> list[tuple[Any, int]]:
         """``(pair, site)`` for every pair with ``host``, in key order.
 
-        ``domain``/``attribute`` (None: any) narrow the pairs asked.
-        With a host directory every pair is answered by one search;
-        otherwise each pair resolves the host itself.
+        ``domain``/``attribute`` (None: any) narrow the pairs asked;
+        naming both asks that one pair.  Each pair resolves the host
+        with its own binary search (the last duplicate wins).
         """
-
-        def wanted(key: tuple[str, str]) -> bool:
-            return (domain is None or key[0] == domain) and (
-                attribute is None or key[1] == attribute
-            )
-
-        if self.host_directory is not None:
-            return [
-                (self.pairs[key], site)
-                for key, site in self.host_directory.lookup(host)
-                if wanted(key)
+        if domain is not None and attribute is not None:
+            pair = self.pairs.get((domain, attribute))
+            candidates = [] if pair is None else [pair]
+        else:
+            candidates = [
+                self.pairs[key]
+                for key in sorted(self.pairs)
+                if (domain is None or key[0] == domain)
+                and (attribute is None or key[1] == attribute)
             ]
         matches: list[tuple[Any, int]] = []
-        for key in sorted(self.pairs):
-            if wanted(key):
-                site = self.pairs[key].site_of_host(host)
-                if site is not None:
-                    matches.append((self.pairs[key], site))
+        for pair in candidates:
+            site = pair.site_of_host(host)
+            if site is not None:
+                matches.append((pair, site))
         return matches
 
     def summary(self) -> dict[str, object]:
@@ -184,12 +181,11 @@ def open_backend(
     eviction can drop the store's blobs while they are being
     published (``mmap`` then fails the read-back),
     ``ram`` opens an already published store and otherwise compiles
-    in memory too.  ``ram`` also gets a host directory, so a site
-    lookup is one search however many pairs it spans.
+    in memory too.
     """
     from repro.perf.cache import active_cache
     from repro.store.compile import build_store, materialize_store, open_store
-    from repro.store.mmapcsr import HostDirectory, open_array_pairs
+    from repro.store.mmapcsr import open_array_pairs
 
     if backend not in ("ram", "mmap"):
         raise ValueError(f"unknown storage backend {backend!r}")
@@ -201,9 +197,6 @@ def open_backend(
     else:
         artifacts = build_store(manifest, cache=cache)
     pairs, demand = open_array_pairs(artifacts, resident=backend == "ram")
-    host_directory = None
-    if backend == "ram" and pairs:
-        host_directory = HostDirectory.build(pairs)
     default_attribute: dict[str, str] = {}
     for domain, attribute in manifest.spread_pairs:
         default_attribute.setdefault(domain, attribute)
@@ -215,5 +208,4 @@ def open_backend(
         identity=artifacts.identity,
         build_seconds=time.perf_counter() - started,
         backend=backend,
-        host_directory=host_directory,
     )

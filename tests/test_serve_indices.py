@@ -163,13 +163,12 @@ def test_duplicate_keys_resolve_last_and_labels_decode(tmp_path, monkeypatch):
         assert pair.site_hosts([2, 0]) == ["a.example", "a.example"]
 
 
-def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
-    """The ram tier resolves a host for every pair in one search; it must
-    answer like each pair's own search: a host shared by two pairs
-    matches both in key order, a duplicate within a pair resolves to its
-    last site, and hosts whose CRC-32 collide ("plumless"/"buckeroo")
-    stay apart.  Unfiltered site requests render byte-identically on
-    every tier."""
+def test_host_matches_across_pairs(tmp_path, monkeypatch):
+    """A host resolves in every pair that holds it: a host shared by two
+    pairs matches both in key order, a duplicate within a pair resolves
+    to its last site, and hosts whose CRC-32 collide ("plumless"/
+    "buckeroo") stay apart.  Unfiltered site requests render
+    byte-identically on every tier."""
     import repro.pipeline.experiments as experiments
     from repro.serve import ServeApp, ServeSettings
 
@@ -196,7 +195,6 @@ def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
         config=CONFIG, spread_pairs=tuple(corpora), traffic_sites=(), artifacts=()
     )
     index = build_index(manifest, backend="ram")
-    assert index.host_directory is not None
 
     def matches(host, domain=None, attribute=None):
         return [
@@ -233,6 +231,31 @@ def test_host_directory_matches_hosts_across_pairs(tmp_path, monkeypatch):
     finally:
         for app in apps.values():
             app.close()
+
+
+def test_filtered_site_request_searches_one_pair(tiers, monkeypatch):
+    """A site request naming both domain and attribute asks that one
+    pair for the host, on every tier."""
+    from repro.store.mmapcsr import ArrayPair
+
+    key = ("books", "isbn")
+    host = tiers["ram"].pairs[key].site_host(0)
+    site = tiers["ram"].pairs[key].site_of_host(host)
+    calls = []
+    site_of_host = ArrayPair.site_of_host
+
+    def counting(pair, name):
+        calls.append((pair.domain, pair.attribute))
+        return site_of_host(pair, name)
+
+    monkeypatch.setattr(ArrayPair, "site_of_host", counting)
+    for name, tier in tiers.items():
+        calls.clear()
+        matches = [
+            (pair.domain, found) for pair, found in tier.host_matches(host, *key)
+        ]
+        assert matches == [("books", site)], name
+        assert calls == [key], name
 
 
 def test_set_cover_matches_greedy_on_the_incidence(tiers, incidences):

@@ -7,7 +7,6 @@ import http.client
 import json
 import os
 import socket
-import threading
 
 import pytest
 
@@ -16,6 +15,7 @@ from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.runall import write_manifest
 from repro.resilience import ENV_FAULTS, clear_plan_cache
 from repro.serve import (
+    WORKER_HEADER,
     FastHTTPServer,
     RunRouter,
     ServeApp,
@@ -121,7 +121,6 @@ def test_run_healthz_and_metrics_unwrap(router):
 
 
 def test_router_quacks_like_an_app(router):
-    assert router.settings is router.apps["alpha"].settings
     assert router.worker_id == router.apps["alpha"].worker_id
 
 
@@ -131,20 +130,17 @@ def test_router_rejects_unknown_default():
 
 
 def test_router_behind_the_http_shell(router):
-    server = FastHTTPServer(router, socket.create_server(("127.0.0.1", 0)))
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        conn = http.client.HTTPConnection(host, port, timeout=10)
-        conn.request("GET", "/v1/runs")
-        response = conn.getresponse()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname()[:2], timeout=10)
+        conn, __ = listener.accept()
+    FastHTTPServer(router).process_connection(conn)
+    with client:
+        client.sendall(b"GET /v1/runs HTTP/1.1\r\nHost: t\r\n\r\n")
+        response = http.client.HTTPResponse(client)
+        response.begin()
         assert response.status == 200
+        assert response.getheader(WORKER_HEADER) == "0"
         assert json.loads(response.read())["default_run"] == "alpha"
-        conn.close()
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
 
 
 # ------------------------------------------------------ sharded registry

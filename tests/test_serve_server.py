@@ -11,7 +11,13 @@ import pytest
 
 from repro.pipeline.config import ExperimentConfig
 from repro.resilience import ENV_FAULTS, clear_plan_cache
-from repro.serve import FastHTTPServer, ServeApp, ServeSettings
+from repro.serve import (
+    WORKER_HEADER,
+    ServeApp,
+    ServeSettings,
+    ShardPlan,
+    ShardedServer,
+)
 from repro.serve.indices import build_index
 from repro.store import Manifest
 
@@ -327,16 +333,19 @@ def test_metrics_counters_track_requests(app):
 
 
 def test_http_server_round_trip(index):
+    server = ShardedServer(
+        index=index,
+        settings=ServeSettings(host="127.0.0.1", port=0),
+        plan=ShardPlan(workers=1),
+    )
+    host, port = server.start()
     app = ServeApp(index, ServeSettings(port=0))
-    server = FastHTTPServer(app)
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
         with urllib.request.urlopen(
             f"http://{host}:{port}/healthz", timeout=10
         ) as response:
             assert response.status == 200
+            assert response.headers[WORKER_HEADER] == "0"
             assert json.loads(response.read())["status"] == "ok"
         direct = app.handle("/v1/coverage/restaurants?k=1&t=2")[1]
         with urllib.request.urlopen(
@@ -344,6 +353,5 @@ def test_http_server_round_trip(index):
         ) as response:
             assert response.read() == direct
     finally:
-        server.shutdown()
-        thread.join(timeout=5)
+        server.stop()
         app.close()

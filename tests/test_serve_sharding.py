@@ -22,7 +22,6 @@ import repro
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.runall import write_manifest
 from repro.serve import ServeApp, ServeSettings, WORKER_HEADER
-from repro.serve.fasthttp import FastHTTPServer, listen
 from repro.serve.indices import build_index
 from repro.serve.loadgen import (
     Connection,
@@ -121,27 +120,20 @@ def test_hot_reload_needs_manifest(index):
         ShardedServer(index=index, plan=ShardPlan(reload_poll_seconds=1.0))
 
 
-# -- the fast HTTP shell (single process, no fork) ----------------------------
+# -- the fast HTTP shell (one in-process worker) -------------------------------
 
 
 @pytest.fixture()
 def fast_server(index):
-    app = ServeApp(
-        index, ServeSettings(host="127.0.0.1", port=0), worker_id=3
-    )
-    server = FastHTTPServer(app)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, app
-    server.shutdown()
-    thread.join(timeout=5)
-    app.close()
+    """A one-worker deployment's ``(host, port)``."""
+    server, host, port = _start(index, 1)
+    yield host, port
+    server.stop()
 
 
 def test_loadgen_client_reads_what_http_client_reads(fast_server):
     """fetch() returns http.client's status and body bytes, 200 and 404."""
-    server, __ = fast_server
-    host, port = server.server_address[:2]
+    host, port = fast_server
     for path, expected_status in (("/healthz", 200), ("/v1/nope", 404)):
         connection = http.client.HTTPConnection(host, port, timeout=30)
         try:
@@ -162,13 +154,12 @@ def test_loadgen_client_reads_what_http_client_reads(fast_server):
         first, second = connection.read_response(), connection.read_response()
     finally:
         connection.close()
-    assert first == (200, "3", fetch(host, port, "/healthz")[1])
-    assert second[:2] == (404, "3")
+    assert first == (200, "0", fetch(host, port, "/healthz")[1])
+    assert second[:2] == (404, "0")
 
 
 def test_fasthttp_pipelined_requests_one_write(fast_server, expected_bodies):
-    server, __ = fast_server
-    host, port = server.server_address[:2]
+    host, port = fast_server
     paths = ["/healthz", "/v1/coverage/restaurants?k=1&t=10", "/healthz"]
     batch = b"".join(
         f"GET {p} HTTP/1.1\r\nHost: t\r\n\r\n".encode() for p in paths
@@ -181,22 +172,20 @@ def test_fasthttp_pipelined_requests_one_write(fast_server, expected_bodies):
             assert chunk, "server closed mid-pipeline"
             received += chunk
     text = bytes(received)
-    assert text.count(f"{WORKER_HEADER}: 3".encode()) == 3
+    assert text.count(f"{WORKER_HEADER}: 0".encode()) == 3
     for path in set(paths):
         assert expected_bodies[path] in text
 
 
 def test_fasthttp_responses_match_app_bytes(fast_server, expected_bodies):
-    server, __ = fast_server
-    host, port = server.server_address[:2]
+    host, port = fast_server
     bodies, workers = _get_bodies(host, port, PROBE_PATHS)
     assert bodies == [expected_bodies[p] for p in PROBE_PATHS]
-    assert set(workers) == {"3"}
+    assert set(workers) == {"0"}
 
 
 def test_fasthttp_http10_closes_by_default(fast_server):
-    server, __ = fast_server
-    host, port = server.server_address[:2]
+    host, port = fast_server
     with socket.create_connection((host, port), timeout=10) as conn:
         conn.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
         received = bytearray()
@@ -209,8 +198,7 @@ def test_fasthttp_http10_closes_by_default(fast_server):
 
 
 def test_fasthttp_rejects_non_get_and_closes(fast_server):
-    server, __ = fast_server
-    host, port = server.server_address[:2]
+    host, port = fast_server
     with socket.create_connection((host, port), timeout=10) as conn:
         conn.sendall(b"POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
         received = bytearray()
@@ -223,8 +211,7 @@ def test_fasthttp_rejects_non_get_and_closes(fast_server):
 
 
 def test_fasthttp_rejects_malformed_request_line(fast_server):
-    server, __ = fast_server
-    host, port = server.server_address[:2]
+    host, port = fast_server
     with socket.create_connection((host, port), timeout=10) as conn:
         conn.sendall(b"NONSENSE\r\n\r\n")
         received = bytearray()
@@ -234,15 +221,6 @@ def test_fasthttp_rejects_malformed_request_line(fast_server):
                 break
             received += chunk
     assert received.startswith(b"HTTP/1.1 400")
-
-
-def test_fasthttp_socketless_refuses_serve_forever(index):
-    app = ServeApp(index, ServeSettings())
-    server = FastHTTPServer(app, bind=False)
-    with pytest.raises(RuntimeError, match="process_connection"):
-        server.serve_forever()
-    server.shutdown()
-    app.close()
 
 
 # -- ShardedServer: one worker in-process, more forked -------------------------
@@ -270,6 +248,7 @@ def test_one_worker_serves_in_process(index, expected_bodies):
     assert bodies == [expected_bodies[p] for p in PROBE_PATHS]
     assert set(workers) == {"0"}
     assert server.worker_pids() == []
+    assert _port_free(port)
     # Only forked workers switch the cyclic collector off.
     assert gc.isenabled()
 
@@ -285,6 +264,34 @@ def test_one_worker_needs_no_fork(index, expected_bodies, monkeypatch):
     assert bodies == [expected_bodies[p] for p in PROBE_PATHS]
     with pytest.raises(RuntimeError, match="fork start method"):
         _start(index, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_one_accept_loop_at_every_worker_count(index, workers):
+    """The supervisor runs the only accept loop, forked workers or not."""
+    before = set(threading.enumerate())
+    server, __, __ = _start(index, workers)
+    try:
+        started = set(threading.enumerate()) - before
+    finally:
+        server.stop()
+    assert [thread.name for thread in started] == ["serve-router"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_silent_connection_does_not_hold_the_accept_loop(index, workers):
+    """Every worker holds a client that connected and sent nothing; a
+    fresh connection is still accepted and answered."""
+    server, host, port = _start(index, workers)
+    try:
+        with contextlib.ExitStack() as stack:
+            for __ in range(workers):
+                stack.enter_context(
+                    socket.create_connection((host, port), timeout=30)
+                )
+            assert _fresh_get(host, port)[0] == 200
+    finally:
+        server.stop()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -391,7 +398,7 @@ def test_worker_metrics_report_worker_id(index):
 def _port_free(port):
     """True when a new server could listen on ``127.0.0.1:port``."""
     try:
-        listen("127.0.0.1", port).close()
+        socket.create_server(("127.0.0.1", port)).close()
     except OSError:
         return False
     return True
